@@ -89,10 +89,6 @@ class GeneratorContext:
     def is_base(self, name):
         return name in self.base
 
-    def clear_caches(self):
-        self._word_cache.clear()
-        self._mono_cache.clear()
-
     def names(self):
         return tuple(self.order)
 

@@ -15,6 +15,7 @@ the step with actual content.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .polynomial import QQ, Generator, GradedPolynomial, PolynomialRing, QuotientPresentation
 from .series import TruncatedSeries, signature
@@ -246,32 +247,15 @@ class PowerOpResult:
     def __init__(self, **fields):
         self.__dict__.update(fields)
 
-    def summary(self):
-        keys = (
-            "n",
-            "preset",
-            "bracket2",
-            "g",
-            "k",
-            "kinv",
-            "f_n",
-            "h_n",
-            "raw",
-            "reduced",
-        )
-        out = {}
-        for key in keys:
-            value = getattr(self, key)
-            out[key] = value if isinstance(value, (int, str)) else str(value)
-        out["checks"] = [list(row) for row in self.checks]
-        return out
-
 
 def appendix_pipeline(n, p=None, alpha_order=None, y_order=None):
     """Value of the total power operation on the n-th projective class.
 
     Returns a ``PowerOpResult`` carrying every intermediate series and a
-    list of (label, ok) rows for the checks performed along the way.
+    tuple of (label, ok) rows for the checks performed along the way.
+    Results are memoized per (n, preset, alpha_order, y_order) after the
+    defaults are filled in, so callers share one result and must not
+    modify it.
     """
     if n < 1:
         raise ValueError("the pipeline needs n >= 1")
@@ -281,6 +265,11 @@ def appendix_pipeline(n, p=None, alpha_order=None, y_order=None):
         alpha_order = 2 * n + 16
     if y_order is None:
         y_order = n + 2
+    return _appendix_pipeline(n, p, alpha_order, y_order)
+
+
+@lru_cache(maxsize=None)
+def _appendix_pipeline(n, p, alpha_order, y_order):
     checks = []
 
     bracket2 = bracket2_series(p, alpha_order, "alpha")
@@ -339,7 +328,7 @@ def appendix_pipeline(n, p=None, alpha_order=None, y_order=None):
         raw=raw,
         reduced=reduction.reduced,
         reduction=reduction,
-        checks=checks,
+        checks=tuple(checks),
     )
 
 

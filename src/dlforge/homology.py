@@ -10,6 +10,7 @@ disagreement as a fatal implementation bug, not something to paper over.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 from .expressions import (
@@ -28,7 +29,7 @@ from .polynomial import (
     binomial_mod2,
     graded_inverse,
 )
-from .rewriting import DLPolynomial, adem_step
+from .rewriting import DLPolynomial
 
 __all__ = [
     "DLModel",
@@ -57,6 +58,8 @@ class DLModel:
     elements is additivity over terms, the square rule on even monomials,
     and the Cartan formula peeling one generator at a time.  Values are
     memoized per (s, monomial); the tables are append-only and deterministic.
+    Both models read their actions off the inverse of 1 plus the sum of all
+    ring generators, kept as a list of components grown on demand.
     """
 
     def __init__(self, name, ring, max_degree):
@@ -65,6 +68,8 @@ class DLModel:
         self.max_degree = max_degree
         self._gen_cache = {}
         self._mono_cache = {}
+        self._inverse = []
+        self._inverse_lock = threading.Lock()
 
     def generator_action(self, s, index):
         raise NotImplementedError
@@ -82,11 +87,26 @@ class DLModel:
             out = out + self._q_mono(s, mono)
         return out
 
-    def q_word(self, superscripts, element):
-        """Iterated operation Q^{s_1} .. Q^{s_k} applied right-to-left."""
-        for s in reversed(tuple(superscripts)):
-            element = self.q(s, element)
-        return element
+    def _inverse_component(self, d):
+        """Degree-d component of (1 + sum of the ring generators)^{-1}.
+
+        Components are computed up to d on the first request for d, from the
+        generators of degree <= d only, so the cost follows the request rather
+        than the cap.  The lock keeps threads from replacing a longer list
+        with a shorter one.
+        """
+        if d > self.max_degree:
+            raise ValueError(
+                "degree %d is beyond the model's degree cap %d" % (d, self.max_degree)
+            )
+        with self._inverse_lock:
+            if len(self._inverse) <= d:
+                total = self.ring.one()
+                for g in self.ring.generators:
+                    if g.degree <= d:
+                        total = total + self.ring.gen(g.name)
+                self._inverse = graded_inverse(total, d, known=self._inverse)
+            return self._inverse[d]
 
     def _q_gen(self, s, index):
         key = (s, index)
@@ -174,14 +194,6 @@ class DLModel:
             total = total + self.q(p, u) * self.q(s - p, v)
         return direct == total
 
-    def adem_check(self, r, s, element):
-        """Direct Q^r Q^s against the Adem-expanded route (needs r > 2s)."""
-        direct = self.q(r, self.q(s, element))
-        expanded = self.ring.zero()
-        for (top, inner), _bit in adem_step(r, s):
-            expanded = expanded + self.q(top, self.q(inner, element))
-        return direct == expanded
-
     def __repr__(self):
         return "<%s up to degree %d>" % (self.name, self.max_degree)
 
@@ -205,7 +217,6 @@ class DualSteenrodAlgebra(DLModel):
         super().__init__("dual-steenrod", PolynomialRing(GF2, gens), max_degree)
         self.top_index = count
         self._antipodes = {0: self.ring.one()}
-        self._inverse = None
 
     def xi(self, i, exp=1):
         if i == 0:
@@ -223,15 +234,6 @@ class DualSteenrodAlgebra(DLModel):
                 total = total + self.xi(i - j, 2**j) * self.antipode_xi(j)
             self._antipodes[i] = total
         return self._antipodes[i]
-
-    def _inverse_component(self, d):
-        """Degree-d component of (1 + xi_1 + xi_2 + ...)^{-1}."""
-        if self._inverse is None or len(self._inverse) <= d:
-            total = self.ring.one()
-            for i in range(1, self.top_index + 1):
-                total = total + self.xi(i)
-            self._inverse = graded_inverse(total, self.max_degree)
-        return self._inverse[d]
 
     def q_xi1(self, s):
         """Q^s xi_1, read off the generating-function identity."""
@@ -335,20 +337,11 @@ class MUHomology(DLModel):
         gens = [Generator("b%d" % k, 2 * k) for k in range(1, count + 1)]
         super().__init__("h-mu", PolynomialRing(GF2, gens), max_degree)
         self.top_index = count
-        self._den_inverse = None
 
     def b(self, k, exp=1):
         if k == 0:
             return self.ring.one()
         return self.ring.gen("b%d" % k, exp)
-
-    def _denominator_inverse(self, d):
-        if self._den_inverse is None:
-            total = self.ring.one()
-            for k in range(1, self.top_index + 1):
-                total = total + self.b(k)
-            self._den_inverse = graded_inverse(total, self.max_degree)
-        return self._den_inverse[d]
 
     @staticmethod
     def _priddy_binom(n, k, u):
@@ -374,7 +367,7 @@ class MUHomology(DLModel):
         for low in numerator.degrees_present():
             if low > d:
                 continue
-            out = out + numerator.homogeneous_component(low) * self._denominator_inverse(d - low)
+            out = out + numerator.homogeneous_component(low) * self._inverse_component(d - low)
         value = out.homogeneous_component(d) if not out.is_zero() else out
         if d % 2 == 1 and not value.is_zero():
             raise ModelInconsistencyError(

@@ -17,6 +17,8 @@ with the suspension to the dual Steenrod algebra is the chain checked by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
 
 from .formal_groups import PowerOpResult, appendix_pipeline, preset
 from .polynomial import binomial_mod2
@@ -322,11 +324,12 @@ class ImportedRule:
 def _rw_additive_check(order=12):
     # At the additive law the relation collapses to b(s+t) = b(s) # b(t)
     # in a divided-power algebra: binom(a+b, a) gamma_{a+b} = gamma_a gamma_b.
+    # The structure constant (a+b)! / (a! b!) is computed from factorials and
+    # must agree mod 2 with the Lucas-theorem binomial used elsewhere.
     for a in range(order):
         for b in range(order - a):
-            lhs = binomial_mod2(a + b, a)
-            rhs = binomial_mod2(a + b, a)  # the divided-power structure constant
-            if lhs != rhs:
+            constant = Fraction(factorial(a + b), factorial(a) * factorial(b))
+            if constant.denominator != 1 or binomial_mod2(a + b, a) != constant.numerator % 2:
                 return False
     return True
 

@@ -366,10 +366,6 @@ class GradedPolynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_homogeneous(self):
-        degs = {self.ring.monomial_degree(m) for m in self.terms}
-        return len(degs) <= 1
-
     def degree(self):
         """Degree of a homogeneous element (0 for the zero element)."""
         degs = {self.ring.monomial_degree(m) for m in self.terms}
@@ -490,11 +486,14 @@ class GradedPolynomial:
         return "<%s>" % self
 
 
-def graded_inverse(p, bound):
+def graded_inverse(p, bound, known=None):
     """Degreewise inverse of an element with unit constant term.
 
     Returns the list of homogeneous components ``inv[0..bound]`` of the
-    inverse of ``p`` in the graded completion of its ring.
+    inverse of ``p`` in the graded completion of its ring.  ``known`` is a
+    prefix of that list from an earlier call; component d depends only on
+    the components of ``p`` in degrees <= d, so the prefix is extended up to
+    ``bound`` instead of starting again from degree 0.  It is not modified.
     """
     ring = p.ring
     sc = ring.scalars
@@ -503,8 +502,8 @@ def graded_inverse(p, bound):
         raise ZeroDivisionError("constant term is not a unit")
     c0inv = sc.inv(c0)
     comps = [p.homogeneous_component(d) for d in range(bound + 1)]
-    inv = [ring.scalar(c0inv)]
-    for d in range(1, bound + 1):
+    inv = list(known[: bound + 1]) if known else [ring.scalar(c0inv)]
+    for d in range(len(inv), bound + 1):
         acc = ring.zero()
         for i in range(1, d + 1):
             if not comps[i].is_zero():

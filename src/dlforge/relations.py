@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .expressions import GeneratorContext, min_en_level, parse_expression
+from .expressions import GeneratorContext, parse_expression
 from .rewriting import normalize, verify_identity
 from .substitutions import SubstitutionMap, compose_maps, suspend
 
@@ -27,7 +27,6 @@ __all__ = [
     "relation_map",
     "big_relation_expression",
     "big_relation_residual",
-    "relation_en_level",
     "mu",
     "nu",
     "alpha",
@@ -156,12 +155,6 @@ def big_relation_residual():
     """
     substituted = definitions_map()._subst(big_relation_expression())
     return normalize(substituted, x_context())
-
-
-def relation_en_level():
-    """Least operadic level at which every operation in the relation exists."""
-    substituted = definitions_map()._subst(big_relation_expression())
-    return min_en_level(substituted, x_context())
 
 
 @lru_cache(maxsize=None)

@@ -273,9 +273,6 @@ class DLPolynomial:
         eng = _Engine(self.context)
         return sorted({eng.mono_degree(m) for m in self.monomials})
 
-    def term_count(self):
-        return len(self.monomials)
-
     # -- canonical form ------------------------------------------------------
 
     @staticmethod

@@ -195,12 +195,6 @@ class TruncatedSeries:
     def constant_coefficient(self):
         return self.terms.get((0,) * len(self.sig.variables), self.ring.zero())
 
-    def min_exponent(self, var):
-        i = self.sig.index(var)
-        if not self.terms:
-            return None
-        return min(vec[i] for vec in self.terms)
-
     def max_exponent(self, var):
         i = self.sig.index(var)
         if not self.terms:

@@ -115,6 +115,16 @@ def test_parallel_run_matches_sequential():
     assert rows(seq) == rows(par)
 
 
+def test_bad_truncation_gives_error_rows_not_an_abort():
+    proc = run_cli("run", "--suite", "all", "--truncation", "3", "--no-timing")
+    assert proc.returncode == 1, proc.stderr
+    rows = {row["id"]: row["status"] for row in json.loads(proc.stdout)["checks"]}
+    pipeline_checks = ("bracket2", "g-cubic", "kinv", "f2", "h2", "raw", "reduced", "internal")
+    want = ["appendix/%02d-%s" % (i, name) for i, name in enumerate(pipeline_checks, start=1)]
+    assert sorted(i for i, status in rows.items() if status == "error") == want
+    assert all(rows[i] == "pass" for i in rows if i not in want)
+
+
 def test_normalize_subcommand(tmp_path):
     context = tmp_path / "ctx.txt"
     context.write_text("gen x deg 2\n")

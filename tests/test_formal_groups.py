@@ -193,3 +193,10 @@ def test_pipeline_raw_value_is_integral_and_projective():
 def test_unknown_preset_rejected():
     with pytest.raises(KeyError):
         preset("mystery")
+
+
+def test_pipeline_is_memoized_after_filling_in_defaults():
+    default = appendix_pipeline(2)
+    explicit = appendix_pipeline(2, preset("appendix-z-v3"), alpha_order=20, y_order=4)
+    assert default is explicit
+    assert appendix_pipeline(2, alpha_order=21) is not default

@@ -2,10 +2,14 @@
 recursions and the published value tables."""
 
 import random
+import sys
+import threading
 
 import pytest
 
 from dlforge.homology import (
+    DualSteenrodAlgebra,
+    MUHomology,
     check_dl_compatibility,
     dual_steenrod,
     evaluate_in_model,
@@ -17,6 +21,7 @@ from dlforge.homology import (
 )
 from dlforge.relations import Y_DEFINITIONS, qbar, suspended_relation, y_context
 from dlforge.rewriting import adem_step
+from dlforge.suites import _priddy_values
 from dlforge.substitutions import suspend
 
 
@@ -315,3 +320,57 @@ def test_random_monomials_have_consistent_degrees():
     for d in rng.sample(range(2, 20), 8):
         for mono in A.monomials_of_degree(d):
             assert mono.degree() == d
+
+
+# -- cost follows the request, not the cap ------------------------------------
+
+
+def test_mu_inverse_grows_only_to_the_requested_degree():
+    M = MUHomology(256)
+    for _statement, s, k, want in _priddy_values(M):
+        assert M.q(s, M.b(k)) == want
+    # the highest degree asked for is 14 (Q10 b2), far below the cap
+    assert len(M._inverse) <= 15
+
+
+def test_dual_inverse_grows_only_to_the_requested_degree():
+    A = DualSteenrodAlgebra(256)
+    assert A.q_xi1(5).terms == dual_steenrod().q_xi1(5).terms
+    assert len(A._inverse) == 7
+
+
+def test_inverse_components_match_across_caps():
+    small, large = mu_homology(), MUHomology(256)
+    for d in (0, 2, 14, 40, 22, 8):
+        assert large._inverse_component(d).terms == small._inverse_component(d).terms
+    with pytest.raises(ValueError):
+        small._inverse_component(42)
+
+
+def test_concurrent_requests_share_one_growing_inverse():
+    want = [MUHomology(64)._inverse_component(d).terms for d in range(65)]
+    M = MUHomology(64)
+    errors = []
+
+    def worker(seed):
+        order = list(range(65))
+        random.Random(seed).shuffle(order)
+        try:
+            for d in order:
+                assert M._inverse_component(d).terms == want[d]
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(M._inverse) == 65

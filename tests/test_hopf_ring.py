@@ -21,6 +21,7 @@ from dlforge.hopf_ring import (
     suspend_to_dual,
     verify_gotcha_chain,
 )
+from dlforge.suites import run_suite
 
 
 # -- coefficient classes ----------------------------------------------------
@@ -237,6 +238,15 @@ def test_imported_rules_have_statements():
 
 def test_main_relation_additive_consequence():
     assert RW_MAIN_RELATION.consequence_check()
+
+
+def test_main_relation_consequence_catches_a_wrong_binomial(monkeypatch):
+    import dlforge.hopf_ring as hopf_ring
+
+    monkeypatch.setattr(hopf_ring, "binomial_mod2", lambda n, k: 1)
+    assert not RW_MAIN_RELATION.consequence_check()
+    rows = {row["id"]: row for row in run_suite("hopf-chain")["checks"]}
+    assert rows["05-rw-additive"]["status"] == "fail"
 
 
 def test_rules_without_checks_return_none():

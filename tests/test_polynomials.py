@@ -141,6 +141,17 @@ def test_graded_inverse_components_are_homogeneous():
         assert component.is_zero() or component.degree() == d
 
 
+def test_graded_inverse_resumes_from_a_known_prefix():
+    ring = small_ring()
+    p = ring.one() + ring.gen("a") + ring.gen("b") + ring.gen("c") * ring.gen("a")
+    for low in (0, 3, 8):
+        known = graded_inverse(p, low)
+        resumed = graded_inverse(p, 8, known=known)
+        assert resumed == graded_inverse(p, 8)
+        assert all(a is b for a, b in zip(resumed, known))  # reused, not recomputed
+        assert len(known) == low + 1  # and not modified
+
+
 def test_indecomposable_part_keeps_only_linear_generator_terms():
     ring = small_ring()
     p = ring.gen("c") + ring.gen("a") * ring.gen("b") + ring.gen("a", 3)
