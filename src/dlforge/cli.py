@@ -16,7 +16,7 @@ from .expressions import en_level_witness, min_en_level, parse_context, parse_ex
 from .rewriting import normalize
 from .suites import SUITE_NAMES, SuiteError, emit_report, run_suite
 
-_CONFIG_KEYS = {"max_degree", "truncation", "parallel", "inject_fault", "scrub_timing"}
+_CONFIG_KEYS = {"max_degree", "truncation", "inject_fault", "scrub_timing"}
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
@@ -67,8 +67,6 @@ def _cmd_run(args):
         config["max_degree"] = args.max_degree
     if args.truncation is not None:
         config["truncation"] = args.truncation
-    if args.parallel:
-        config["parallel"] = True
     if args.no_timing:
         config["scrub_timing"] = True
     report = run_suite(args.suite, config)
@@ -116,7 +114,6 @@ def build_parser():
     run_p.add_argument("--config", default=None, help="key=value config file")
     run_p.add_argument("--report", default=None, help="write the report here instead of stdout")
     run_p.add_argument("--format", choices=("json", "text"), default="json")
-    run_p.add_argument("--parallel", action="store_true")
     run_p.add_argument(
         "--no-timing",
         action="store_true",

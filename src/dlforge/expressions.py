@@ -78,7 +78,6 @@ class GeneratorContext:
                 raise ValueError("base generator %r is not declared" % b)
         self._word_cache = {}
         self._mono_cache = {}
-        self.caching = True
 
     def degree(self, name):
         try:
@@ -226,10 +225,16 @@ def _tokenize(text):
 
 
 class _Parser:
+    # Bound on open parentheses plus pending Q-operations, so that the
+    # recursive descent (and the recursive walks over the tree it returns)
+    # stay far below the interpreter's recursion limit.
+    MAX_NESTING = 100
+
     def __init__(self, tokens, context):
         self.tokens = tokens
         self.pos = 0
         self.context = context
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -271,15 +276,21 @@ class _Parser:
             if self.context is not None and value not in self.context.degrees:
                 raise UnknownGeneratorError(value)
             return GenRef(value)
+        if kind not in ("Q", "("):
+            raise ExpressionSyntaxError("expected a generator, Q-operation or '('", pos)
+        self.take()
+        self.depth += 1
+        if self.depth > self.MAX_NESTING:
+            raise ExpressionSyntaxError(
+                "expression nested deeper than %d levels" % self.MAX_NESTING, pos
+            )
         if kind == "Q":
-            self.take()
-            return QOp(value, self.parse_factor())
-        if kind == "(":
-            self.take()
+            node = QOp(value, self.parse_factor())
+        else:
             node = self.parse_expr()
             self.take(")")
-            return node
-        raise ExpressionSyntaxError("expected a generator, Q-operation or '('", pos)
+        self.depth -= 1
+        return node
 
 
 def parse_expression(text, context=None):

@@ -10,7 +10,7 @@ disagreement as a fatal implementation bug, not something to paper over.
 
 from __future__ import annotations
 
-import threading
+import operator
 from functools import lru_cache
 
 from .expressions import (
@@ -25,11 +25,12 @@ from .expressions import (
 from .polynomial import (
     GF2,
     Generator,
+    GradedPolynomial,
     PolynomialRing,
     binomial_mod2,
     graded_inverse,
 )
-from .rewriting import DLPolynomial
+from .rewriting import CartanExtension, DLPolynomial
 
 __all__ = [
     "DLModel",
@@ -51,28 +52,40 @@ class ModelInconsistencyError(RuntimeError):
     """Two defining routes for an action disagree (an implementation bug)."""
 
 
-class DLModel:
+class DLModel(CartanExtension):
     """A graded F2-algebra with a Dyer-Lashof action defined on generators.
 
     Subclasses provide ``generator_action(s, index)``; the extension to all
-    elements is additivity over terms, the square rule on even monomials,
-    and the Cartan formula peeling one generator at a time.  Values are
-    memoized per (s, monomial); the tables are append-only and deterministic.
-    Both models read their actions off the inverse of 1 plus the sum of all
-    ring generators, kept as a list of components grown on demand.
+    elements is additivity over terms plus ``CartanExtension`` on each
+    monomial.  Values are memoized per (s, monomial); the tables are
+    append-only and deterministic.  Both models read their actions off the
+    inverse of 1 plus the sum of all ring generators, kept as a list of
+    components grown on demand.
     """
+
+    is_zero = staticmethod(GradedPolynomial.is_zero)
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    degrees = staticmethod(GradedPolynomial.degrees_present)
 
     def __init__(self, name, ring, max_degree):
         self.name = name
         self.ring = ring
         self.max_degree = max_degree
-        self._gen_cache = {}
+        self.zero = ring.zero()
+        self.one = ring.one()
         self._mono_cache = {}
         self._inverse = []
-        self._inverse_lock = threading.Lock()
 
     def generator_action(self, s, index):
         raise NotImplementedError
+
+    def generator_degree(self, index):
+        return self.ring.degrees[index]
+
+    @staticmethod
+    def square(p):
+        return p * p
 
     def q(self, s, element):
         """Q^s extended to an arbitrary element."""
@@ -84,7 +97,7 @@ class DLModel:
             )
         out = self.ring.zero()
         for mono in element.terms:
-            out = out + self._q_mono(s, mono)
+            out = out + self.apply_mono(s, mono)
         return out
 
     def _inverse_component(self, d):
@@ -92,64 +105,19 @@ class DLModel:
 
         Components are computed up to d on the first request for d, from the
         generators of degree <= d only, so the cost follows the request rather
-        than the cap.  The lock keeps threads from replacing a longer list
-        with a shorter one.
+        than the cap.
         """
         if d > self.max_degree:
             raise ValueError(
                 "degree %d is beyond the model's degree cap %d" % (d, self.max_degree)
             )
-        with self._inverse_lock:
-            if len(self._inverse) <= d:
-                total = self.ring.one()
-                for g in self.ring.generators:
-                    if g.degree <= d:
-                        total = total + self.ring.gen(g.name)
-                self._inverse = graded_inverse(total, d, known=self._inverse)
-            return self._inverse[d]
-
-    def _q_gen(self, s, index):
-        key = (s, index)
-        if key not in self._gen_cache:
-            value = self.generator_action(s, index)
-            if __debug__ and not value.is_zero():
-                assert value.degrees_present() == [s + self.ring.degrees[index]]
-            self._gen_cache[key] = value
-        return self._gen_cache[key]
-
-    def _q_mono(self, s, mono):
-        key = (s, mono)
-        cached = self._mono_cache.get(key)
-        if cached is not None:
-            return cached
-        if not mono:
-            result = self.ring.one() if s == 0 else self.ring.zero()
-        elif len(mono) == 1 and mono[0][1] == 1:
-            result = self._q_gen(s, mono[0][0])
-        elif all(e % 2 == 0 for _, e in mono):
-            if s % 2:
-                result = self.ring.zero()
-            else:
-                half = tuple((i, e // 2) for i, e in mono)
-                root = self._q_mono(s // 2, half)
-                result = root * root
-        else:
-            i, e = mono[0]
-            rest = tuple(m for m in ((i, e - 1),) + mono[1:] if m[1] > 0)
-            dv = self.ring.monomial_degree(rest)
-            result = self.ring.zero()
-            for p in range(0, s - dv + 1):
-                left = self._q_gen(p, i)
-                if left.is_zero():
-                    continue
-                right = self._q_mono(s - p, rest)
-                if not right.is_zero():
-                    result = result + left * right
-        if __debug__ and not result.is_zero():
-            want = s + self.ring.monomial_degree(mono)
-            assert result.degrees_present() == [want], "degree drift in %s" % self.name
-        self._mono_cache[key] = result
-        return result
+        if len(self._inverse) <= d:
+            total = self.ring.one()
+            for g in self.ring.generators:
+                if g.degree <= d:
+                    total = total + self.ring.gen(g.name)
+            self._inverse = graded_inverse(total, d, known=self._inverse)
+        return self._inverse[d]
 
     # -- basis enumeration and decomposability --------------------------------
 

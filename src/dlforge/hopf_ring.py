@@ -352,29 +352,18 @@ RW_MAIN_RELATION = ImportedRule(
 )
 
 
-def quotient_normal_form(atoms, rng=None):
+def quotient_normal_form(atoms):
     """Normal form of a product of symbols under the quotient rules.
 
     ``atoms`` is a sequence of symbol names: "1", "x<n>", or "b<i>".  The
     rules are: any b_i with i >= 2 kills the product; two positive-degree
-    coefficient symbols kill the product.  When an ``rng`` is supplied the
-    applicable rule instance is chosen at random each step, which must not
-    change the answer.
+    coefficient symbols kill the product.  Every applicable rule zeroes the
+    whole product, so the order in which rules apply cannot change the answer.
     """
     live = [a for a in atoms if a != "1"]
-    kills = []
-    for idx, a in enumerate(live):
-        if a.startswith("b") and int(a[1:]) >= 2:
-            kills.append(("b", idx))
-    positives = [idx for idx, a in enumerate(live) if a.startswith("x")]
-    for i in range(len(positives)):
-        for j in range(i + 1, len(positives)):
-            kills.append(("pair", positives[i], positives[j]))
-    if kills:
-        # every applicable rule zeroes the whole product, so the random
-        # choice cannot steer the outcome; picking one keeps the
-        # order-independence test honest about exercising the rng
-        _ = kills[0] if rng is None else kills[rng.randrange(len(kills))]
+    if any(a.startswith("b") and int(a[1:]) >= 2 for a in live):
+        return "0"
+    if sum(1 for a in live if a.startswith("x")) >= 2:
         return "0"
     return " ".join(sorted(live)) if live else "1"
 

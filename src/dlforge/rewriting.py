@@ -19,6 +19,8 @@ generator name).
 
 from __future__ import annotations
 
+import operator
+
 from .expressions import (
     GenRef,
     Power,
@@ -54,42 +56,99 @@ def is_admissible(superscripts):
     return all(a <= 2 * b for a, b in zip(superscripts, superscripts[1:]))
 
 
-def adem_step(r, s, degree_context=None):
+def adem_step(r, s):
     """Expansion of Q^r Q^s for r > 2s as [(superscript pair, bit), ...].
 
     The window is ceil(r/2) <= i <= r - s - 1; each surviving i contributes
-    Q^{r+s-i} Q^i with coefficient binom(i-s-1, 2i-r) mod 2.  When a degree
-    is supplied, pairs whose inner entry vanishes on every class of that
-    degree (i < degree) are dropped.
+    Q^{r+s-i} Q^i with coefficient binom(i-s-1, 2i-r) mod 2.
     """
     if r <= 2 * s:
         raise ValueError("Q%d Q%d is already admissible" % (r, s))
     out = []
     for i in range((r + 1) // 2, r - s):
-        bit = binomial_mod2(i - s - 1, 2 * i - r)
-        if not bit:
-            continue
-        if degree_context is not None and i < degree_context:
-            continue
-        out.append(((r + s - i, i), 1))
+        if binomial_mod2(i - s - 1, 2 * i - r):
+            out.append(((r + s - i, i), 1))
     return out
 
 
-class _Engine:
-    """Normalization engine bound to one generator context."""
+_ZERO = frozenset()
+_ONE = frozenset({()})
+
+
+class CartanExtension:
+    """Q^s on monomials from Q^s on single generators.
+
+    A monomial is a sorted tuple of (generator, exponent) pairs.  The
+    recursion follows Cohen-Lada-May (LNM 533, III.1): Q^s 1 is 1 for s = 0
+    and 0 otherwise; a lone generator goes to ``generator_action``; an
+    all-even monomial m^2 takes the square rule Q^{2s}(m^2) = (Q^s m)^2, with
+    the odd operations zero; any other monomial peels one copy u of its first
+    generator by the Cartan formula Q^s(u v) = sum Q^i u Q^{s-i} v, where
+    instability makes Q^i u vanish below i = |u|.  Values are memoized per
+    (s, monomial) in ``_mono_cache``.
+
+    Subclasses supply the algebra (``zero``, ``one``, ``is_zero``, ``add``,
+    ``mul``, ``square`` and ``degrees``, the sorted degrees present in a
+    value), ``generator_degree`` and ``generator_action``: ``_Engine`` for
+    the free algebra on operation words, ``homology.DLModel`` for the models.
+    """
+
+    def mono_degree(self, mono):
+        return sum(self.generator_degree(g) * e for g, e in mono)
+
+    def apply_mono(self, s, mono):
+        if not mono:
+            return self.one if s == 0 else self.zero
+        key = (s, mono)
+        result = self._mono_cache.get(key)
+        if result is not None:
+            return result
+        if len(mono) == 1 and mono[0][1] == 1:
+            result = self.generator_action(s, mono[0][0])
+        elif all(e % 2 == 0 for _, e in mono):
+            if s % 2:
+                result = self.zero
+            else:
+                half = tuple((g, e // 2) for g, e in mono)
+                result = self.square(self.apply_mono(s // 2, half))
+        else:
+            g, e = mono[0]
+            rest = tuple(m for m in ((g, e - 1),) + mono[1:] if m[1] > 0)
+            result = self.zero
+            for i in range(self.generator_degree(g), s - self.mono_degree(rest) + 1):
+                left = self.apply_mono(i, ((g, 1),))
+                if self.is_zero(left):
+                    continue
+                right = self.apply_mono(s - i, rest)
+                if not self.is_zero(right):
+                    result = self.add(result, self.mul(left, right))
+        if __debug__ and not self.is_zero(result):
+            assert self.degrees(result) == [s + self.mono_degree(mono)], "degree drift"
+        self._mono_cache[key] = result
+        return result
+
+
+class _Engine(CartanExtension):
+    """Normalization engine bound to one generator context.
+
+    The polynomial generators of the free algebra are the admissible words.
+    """
+
+    zero = _ZERO
+    one = _ONE
+    is_zero = staticmethod(operator.not_)
 
     def __init__(self, context):
         self.ctx = context
+        self._mono_cache = context._mono_cache
         self.steps = 0
 
-    # -- degrees -------------------------------------------------------------
-
-    def word_degree(self, word):
+    def generator_degree(self, word):
         ops, g = word
         return self.ctx.degree(g) + sum(ops)
 
-    def mono_degree(self, mono):
-        return sum(self.word_degree(w) * e for w, e in mono)
+    def degrees(self, p):
+        return sorted({self.mono_degree(m) for m in p})
 
     # -- polynomial helpers (frozensets of monomials) --------------------------
 
@@ -124,48 +183,12 @@ class _Engine:
             out ^= self.apply_mono(s, m)
         return frozenset(out)
 
-    def apply_mono(self, s, mono):
-        if not mono:
-            return _ONE if s == 0 else _ZERO
-        cache = self.ctx._mono_cache if self.ctx.caching else None
-        key = (s, mono)
-        if cache is not None and key in cache:
-            return cache[key]
-        if len(mono) == 1 and mono[0][1] == 1:
-            result = self.apply_word(s, mono[0][0])
-        elif all(e % 2 == 0 for _, e in mono):
-            if s % 2:
-                result = _ZERO
-            else:
-                half = tuple((w, e // 2) for w, e in mono)
-                result = self.square(self.apply_mono(s // 2, half))
-        else:
-            w, e = mono[0]
-            u = ((w, 1),)
-            rest = tuple(m for m in ((w, e - 1),) + mono[1:] if m[1] > 0)
-            du, dv = self.word_degree(w), self.mono_degree(rest)
-            acc = set()
-            for i in range(du, s - dv + 1):
-                left = self.apply_mono(i, u)
-                if not left:
-                    continue
-                right = self.apply_mono(s - i, rest)
-                if right:
-                    acc ^= self.mul(left, right)
-            result = frozenset(acc)
-        if __debug__ and result:
-            d = s + self.mono_degree(mono)
-            assert all(self.mono_degree(m) == d for m in result), "degree drift"
-        if cache is not None:
-            cache[key] = result
-        return result
-
-    def apply_word(self, s, word):
-        cache = self.ctx._word_cache if self.ctx.caching else None
+    def generator_action(self, s, word):
+        cache = self.ctx._word_cache
         key = (s, word)
-        if cache is not None and key in cache:
+        if key in cache:
             return cache[key]
-        d = self.word_degree(word)
+        d = self.generator_degree(word)
         if s < d:
             result = _ZERO
         elif s == d:
@@ -181,12 +204,11 @@ class _Engine:
                 rest = (ops[1:], g)
                 acc = set()
                 for (top, inner), _bit in adem_step(s, ops[0]):
-                    lower = self.apply_word(inner, rest)
+                    lower = self.generator_action(inner, rest)
                     if lower:
                         acc ^= self.apply_poly(top, lower)
                 result = frozenset(acc)
-        if cache is not None:
-            cache[key] = result
+        cache[key] = result
         return result
 
     # -- expression evaluation ---------------------------------------------------
@@ -218,10 +240,6 @@ class _Engine:
         if isinstance(node, QOp):
             return self.apply_poly(node.s, self.evaluate(node.arg))
         raise TypeError("not an expression node: %r" % (node,))
-
-
-_ZERO = frozenset()
-_ONE = frozenset({()})
 
 
 class DLPolynomial:
@@ -270,8 +288,7 @@ class DLPolynomial:
         return not self.monomials
 
     def degrees(self):
-        eng = _Engine(self.context)
-        return sorted({eng.mono_degree(m) for m in self.monomials})
+        return _Engine(self.context).degrees(self.monomials)
 
     # -- canonical form ------------------------------------------------------
 

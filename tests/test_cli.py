@@ -62,6 +62,10 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
     proc = run_cli("run", "--suite", "big-relation", "--config", str(config))
     assert proc.returncode == 2
     assert "unknown key" in proc.stderr
+    config.write_text("parallel = true\n")
+    proc = run_cli("run", "--suite", "big-relation", "--config", str(config))
+    assert proc.returncode == 2
+    assert "unknown key 'parallel'" in proc.stderr
 
 
 def test_malformed_config_line_is_a_usage_error(tmp_path):
@@ -73,7 +77,7 @@ def test_malformed_config_line_is_a_usage_error(tmp_path):
 
 def test_config_comments_and_spacing_are_tolerated(tmp_path):
     config = tmp_path / "ok.cfg"
-    config.write_text("# comment line\n\n  max-degree = 36  # trailing\nparallel = false\n")
+    config.write_text("# comment line\n\n  max-degree = 36  # trailing\n")
     proc = run_cli("run", "--suite", "priddy", "--config", str(config))
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
@@ -104,17 +108,6 @@ def test_text_format_report():
     assert "PASS" in proc.stdout
 
 
-def test_parallel_run_matches_sequential():
-    seq = run_cli("run", "--suite", "appendix")
-    par = run_cli("run", "--suite", "appendix", "--parallel")
-    assert seq.returncode == par.returncode == 0
-    rows = lambda proc: [
-        {k: v for k, v in row.items() if k != "elapsed_ms"}
-        for row in json.loads(proc.stdout)["checks"]
-    ]
-    assert rows(seq) == rows(par)
-
-
 def test_bad_truncation_gives_error_rows_not_an_abort():
     proc = run_cli("run", "--suite", "all", "--truncation", "3", "--no-timing")
     assert proc.returncode == 1, proc.stderr
@@ -123,6 +116,25 @@ def test_bad_truncation_gives_error_rows_not_an_abort():
     want = ["appendix/%02d-%s" % (i, name) for i, name in enumerate(pipeline_checks, start=1)]
     assert sorted(i for i, status in rows.items() if status == "error") == want
     assert all(rows[i] == "pass" for i in rows if i not in want)
+
+
+def test_tiny_cap_gives_priddy_error_rows_not_an_abort():
+    proc = run_cli("run", "--suite", "all", "--max-degree", "1", "--no-timing")
+    assert proc.returncode == 1, proc.stderr
+    rows = json.loads(proc.stdout)["checks"]
+    assert len({row["id"].split("/", 1)[0] for row in rows}) == 11
+    priddy = {row["status"] for row in rows if row["id"].startswith("priddy/")}
+    assert priddy == {"error"}
+
+
+def test_deep_nesting_is_a_usage_error(tmp_path):
+    context = tmp_path / "ctx.txt"
+    context.write_text("gen x deg 2\n")
+    for expr in ("(" * 3000 + "x" + ")" * 3000, "Q3 " * 3000 + "x"):
+        proc = run_cli("normalize", "--context", str(context), "--expr", expr)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert "nested deeper than" in proc.stderr
 
 
 def test_normalize_subcommand(tmp_path):
@@ -155,7 +167,7 @@ def test_en_level_subcommand(tmp_path):
 
 def test_run_all_summary(tmp_path):
     out = tmp_path / "all.json"
-    proc = run_cli("run", "--suite", "all", "--report", str(out), "--parallel")
+    proc = run_cli("run", "--suite", "all", "--report", str(out))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(out.read_text())
     assert report["overall"] == "pass"

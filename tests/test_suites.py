@@ -1,5 +1,6 @@
 """Report construction, suite registry, and serialization."""
 
+import hashlib
 import json
 
 import pytest
@@ -85,3 +86,11 @@ def test_errors_are_reported_not_raised():
     statuses = {row["status"] for row in report["checks"]}
     assert report["overall"] == "fail"
     assert "error" in statuses
+
+
+def test_scrubbed_all_report_is_byte_stable():
+    # a refactor must leave the report unchanged; only a deliberate schema
+    # change may move this hash
+    text = emit_report(run_suite("all", {"scrub_timing": True}))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "e5ee6ccea1976761e1586b8dc46b20e013a5c7ed50262a1c0a6e7881b0a7c2aa"
