@@ -69,6 +69,9 @@ def _cmd_run(args):
         config["truncation"] = args.truncation
     if args.no_timing:
         config["scrub_timing"] = True
+    for key in ("max_degree", "truncation"):
+        if config.get(key, 0) < 0:
+            raise ConfigError("%s must be nonnegative, got %d" % (key, config[key]))
     report = run_suite(args.suite, config)
     text = emit_report(report, path=args.report, fmt=args.format)
     if args.report is None:

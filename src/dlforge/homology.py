@@ -366,17 +366,24 @@ def map_p(element, source=None, target=None):
     """The ring map sending b_{2^m - 1} to xi_m^2 and other b_k to zero."""
     source = source or mu_homology()
     target = target or dual_steenrod()
+    return element.map_generators(target.ring, _p_images(source, target))
+
+
+@lru_cache(maxsize=16)
+def _p_images(source, target):
+    """Generator images of ``map_p``, built once per pair of models.
+
+    The cache is bounded so that it does not keep every model a caller
+    builds alive for the life of the process.
+    """
     images = {}
     for k in range(1, source.top_index + 1):
-        if (k + 1) & k == 0:  # k + 1 is a power of two
-            m = (k + 1).bit_length() - 1
-            if 2 * (2**m - 1) <= target.max_degree:
-                images["b%d" % k] = target.xi(m, 2)
-            else:
-                images["b%d" % k] = target.ring.zero()
+        m = (k + 1).bit_length() - 1
+        if (k + 1) & k == 0 and 2 * (2**m - 1) <= target.max_degree:  # k + 1 = 2^m
+            images["b%d" % k] = target.xi(m, 2)
         else:
             images["b%d" % k] = target.ring.zero()
-    return element.map_generators(target.ring, images)
+    return images
 
 
 def check_dl_compatibility(s_range, degree_range, source=None, target=None):
@@ -432,8 +439,10 @@ def evaluate_in_model(expr, assignment, model, context=None):
         if isinstance(node, Power):
             return walk(node.base) ** node.exp
         if isinstance(node, Product):
-            out = model.ring.one()
-            for f in node.factors:
+            if not node.factors:
+                return model.ring.one()
+            out = walk(node.factors[0])
+            for f in node.factors[1:]:
                 out = out * walk(f)
             return out
         if isinstance(node, Sum):

@@ -24,6 +24,7 @@ __all__ = [
     "QuotientPresentation",
     "binomial_mod2",
     "indecomposable_degrees",
+    "positive_power",
 ]
 
 
@@ -280,6 +281,25 @@ class QuotientPresentation:
         raise RuntimeError("relation rewriting did not terminate")
 
 
+def positive_power(x, n):
+    """x ** n for n >= 1 by repeated squaring.
+
+    The product starts from the lowest factor rather than from 1, and no
+    square is taken after the last one it uses.
+    """
+    while not n & 1:
+        x = x * x
+        n >>= 1
+    acc = x
+    n >>= 1
+    while n:
+        x = x * x
+        if n & 1:
+            acc = acc * x
+        n >>= 1
+    return acc
+
+
 def _merge_monomials(a, b):
     have = dict(a)
     for i, e in b:
@@ -320,8 +340,18 @@ class GradedPolynomial:
 
     def __mul__(self, other):
         self._check(other)
-        sc = self.ring.scalars
+        ring = self.ring
+        sc = ring.scalars
         out = {}
+        if sc is GF2 and ring.relations is None:
+            # every coefficient is 1, so a monomial survives exactly when it
+            # arises an odd number of times: toggle its presence (XOR)
+            for m1 in self.terms:
+                for m2 in other.terms:
+                    m = _merge_monomials(m1, m2)
+                    if out.pop(m, None) is None:
+                        out[m] = 1
+            return GradedPolynomial(ring, out)
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _merge_monomials(m1, m2)
@@ -330,19 +360,14 @@ class GradedPolynomial:
                     out.pop(m, None)
                 else:
                     out[m] = s
-        return self.ring.make(out)
+        return ring.make(out)
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        acc = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        if n == 0:
+            return self.ring.one()
+        return positive_power(self, n)
 
     def scale(self, c):
         sc = self.ring.scalars
@@ -432,16 +457,25 @@ class GradedPolynomial:
         """Ring map determined by generator images.
 
         ``images`` maps each generator name appearing in ``self`` to an
-        element of ``target_ring``; scalars map along the identity.
+        element of ``target_ring``; scalars map along the identity.  A term
+        with a factor that maps to zero is skipped before any product.
         """
         out = target_ring.zero()
         for mono, coeff in self.terms.items():
-            term = target_ring.scalar(coeff)
+            factors = []
             for i, e in mono:
                 name = self.ring.generators[i].name
                 if name not in images:
                     raise KeyError("no image for generator %r" % name)
-                term = term * images[name] ** e
+                image = images[name]
+                if image.ring is not target_ring:
+                    raise ValueError("elements of different rings")
+                factors.append((image, e))
+            if any(image.is_zero() for image, _ in factors):
+                continue
+            term = target_ring.scalar(coeff)
+            for image, e in factors:
+                term = term * image ** e
             out = out + term
         return out
 

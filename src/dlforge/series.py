@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polynomial import GradedPolynomial
+from .polynomial import GradedPolynomial, positive_power
 
 __all__ = ["SeriesSignature", "TruncatedSeries", "signature"]
 
@@ -151,14 +151,9 @@ class TruncatedSeries:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        acc = TruncatedSeries.constant(self.sig, self.ring, self.ring.one())
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        if n == 0:
+            return TruncatedSeries.constant(self.sig, self.ring, self.ring.one())
+        return positive_power(self, n)
 
     def __eq__(self, other):
         return (
@@ -234,14 +229,13 @@ class TruncatedSeries:
             if s.sig != target.sig or s.ring is not target.ring:
                 raise ValueError("substitution images must share a signature")
         sig, ring = target.sig, target.ring
-        one = TruncatedSeries.constant(sig, ring, ring.one())
-        powers = [[one] for _ in imgs]
+        powers = [[img] for img in imgs]  # powers[i][e - 1] is imgs[i] ** e
 
         def power(i, e):
             cache = powers[i]
-            while len(cache) <= e:
+            while len(cache) < e:
                 cache.append(cache[-1] * imgs[i])
-            return cache[e]
+            return cache[e - 1]
 
         acc = TruncatedSeries.zero(sig, ring)
         for vec, coeff in self.terms.items():

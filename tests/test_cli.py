@@ -118,6 +118,17 @@ def test_bad_truncation_gives_error_rows_not_an_abort():
     assert all(rows[i] == "pass" for i in rows if i not in want)
 
 
+def test_negative_degree_cap_or_truncation_is_a_usage_error(tmp_path):
+    config = tmp_path / "neg.cfg"
+    config.write_text("max_degree = -3\n")
+    for args in (["--max-degree", "-5"], ["--truncation", "-1"], ["--config", str(config)]):
+        proc = run_cli("run", "--suite", "all", "--no-timing", *args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "must be nonnegative" in proc.stderr
+
+
 def test_tiny_cap_gives_priddy_error_rows_not_an_abort():
     proc = run_cli("run", "--suite", "all", "--max-degree", "1", "--no-timing")
     assert proc.returncode == 1, proc.stderr

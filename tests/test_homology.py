@@ -4,7 +4,10 @@ recursions and the published value tables."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dlforge.expressions import parse_context
 from dlforge.homology import (
     DualSteenrodAlgebra,
     MUHomology,
@@ -17,8 +20,9 @@ from dlforge.homology import (
     map_p,
     mu_homology,
 )
+from dlforge.polynomial import GradedPolynomial
 from dlforge.relations import Y_DEFINITIONS, qbar, suspended_relation, y_context
-from dlforge.rewriting import adem_step
+from dlforge.rewriting import adem_step, normalize
 from dlforge.suites import PRIDDY_VALUES, priddy_sides
 from dlforge.substitutions import suspend
 
@@ -247,6 +251,22 @@ def test_map_p_commutes_with_operations():
     assert ok, failures[:3]
 
 
+def test_commute_sweep_does_a_pinned_number_of_products(monkeypatch):
+    # an exact work count, so a change in the amount of work fails here even
+    # on a machine too noisy to time it
+    calls = []
+    mul = GradedPolynomial.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(GradedPolynomial, "__mul__", counted)
+    ok, failures = check_dl_compatibility(24, 14, MUHomology(40), DualSteenrodAlgebra(40))
+    assert ok, failures[:3]
+    assert len(calls) == 5744
+
+
 def test_map_p_spot_value_both_routes():
     A = dual_steenrod()
     M = mu_homology()
@@ -282,6 +302,53 @@ def test_evaluate_validates_degrees_against_context():
     ctx = parse_context("gen u deg 3\n")
     with pytest.raises(Exception):
         evaluate_in_model("Q4 u", {"u": A.xi(1) * A.xi(1)}, A, ctx)
+
+
+@st.composite
+def words_on_x(draw, max_degree):
+    """Text and degree of Q^{s_1} .. Q^{s_k} x (k <= 3) with |x| = 2.
+
+    Each superscript is at least one below the degree it acts on, so some
+    operations vanish by instability and most pairs are inadmissible.  Odd
+    operations on the images of x vanish in both models, so three
+    superscripts in four are even.
+    """
+    ops = []
+    degree = 2
+    for _ in range(draw(st.integers(0, 3))):
+        if 2 * degree - 1 > max_degree:
+            break
+        s = draw(st.integers(degree - 1, max_degree - degree))
+        if s % 2 and s > degree and draw(st.integers(0, 3)):
+            s -= 1
+        ops.append("Q%d" % s)
+        degree += s
+    return " ".join(ops[::-1] + ["x"]), degree
+
+
+@st.composite
+def oracle_expressions(draw, max_degree=40):
+    """A word on x, or Q^s of a product of two words, of degree <= max_degree."""
+    if draw(st.booleans()):
+        return draw(words_on_x(max_degree))[0]
+    u, du = draw(words_on_x(max_degree // 4))
+    v, dv = draw(words_on_x(max_degree // 4))
+    s = draw(st.integers(du + dv - 1, max_degree - du - dv))
+    return "Q%d (%s %s)" % (s, u, v)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(oracle_expressions())
+def test_normal_form_evaluates_like_the_expression(text):
+    # the free-algebra rewriter against both model actions (Priddy, Steinberger)
+    context = parse_context("gen x deg 2\n")
+    normal_form = normalize(text, context)
+    M = mu_homology()
+    A = dual_steenrod()
+    for model, image in ((M, M.b(1)), (A, A.xi(1) ** 2)):
+        assignment = {"x": image}
+        want = evaluate_in_model(text, assignment, model, context)
+        assert evaluate_in_model(normal_form, assignment, model) == want, (model.name, text)
 
 
 def test_y_definitions_vanish_at_xi1_squared():

@@ -2,10 +2,12 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from dlforge.homology import MUHomology
 from dlforge.polynomial import (
     GF2,
     QQ,
@@ -102,6 +104,50 @@ def test_frobenius_on_gf2_is_additive():
         assert (x + y) ** 2 == x ** 2 + y ** 2
 
 
+def quotient_ring():
+    # a nilpotent generator and a binomial rewrite b^2 -> a^2 b
+    pres = QuotientPresentation([({"a": 3}, {}), ({"b": 2}, {(("a", 2), ("b", 1)): 1})])
+    return PolynomialRing(GF2, [Generator("a", 1), Generator("b", 2)], relations=pres)
+
+
+@pytest.mark.parametrize("ring", [small_ring(), rational_ring(), quotient_ring()], ids=repr)
+def test_power_equals_the_repeated_product(ring):
+    rng = random.Random(8)
+    for _ in range(10):
+        x = random_element(ring, rng)
+        product = ring.one()
+        for n in range(9):
+            assert x ** n == product, n
+            product = product * x
+
+
+def reference_gf2_product(x, y):
+    """Term-by-term product: count each product monomial, keep odd counts."""
+    counts = Counter()
+    for m1 in x.terms:
+        for m2 in y.terms:
+            exponents = Counter(dict(m1))
+            exponents.update(dict(m2))
+            counts[tuple(sorted(exponents.items()))] += 1
+    return {m: 1 for m, c in counts.items() if c % 2}
+
+
+def test_gf2_product_matches_term_by_term_reference():
+    M = MUHomology(40)
+    basis = M.monomials_up_to(10)
+    rng = random.Random(4)
+    for _ in range(60):
+        x = M.ring.zero()
+        y = M.ring.zero()
+        for _ in range(rng.randint(0, 12)):
+            x = x + rng.choice(basis)
+        for _ in range(rng.randint(0, 12)):
+            y = y + rng.choice(basis)
+        product = x * y
+        assert product.terms == reference_gf2_product(x, y)
+        assert (x + y) * (x + y) == x * x + y * y  # the cross terms cancel
+
+
 def test_quotient_normal_form_is_idempotent():
     pres = QuotientPresentation([({"a": 2}, {})])
     ring = PolynomialRing(GF2, [Generator("a", 1), Generator("b", 2)], relations=pres)
@@ -180,6 +226,30 @@ def test_map_generators_respects_products():
         fy = y.map_generators(target, images)
         assert (x * y).map_generators(target, images) == fx * fy
         assert (x + y).map_generators(target, images) == fx + fy
+
+
+def test_map_generators_needs_an_image_for_every_generator():
+    source = small_ring()
+    target = small_ring()
+    term = source.gen("a") * source.gen("b")
+    # the other factor maps to zero, but the missing image is still an error
+    with pytest.raises(KeyError):
+        term.map_generators(target, {"a": target.zero()})
+    with pytest.raises(KeyError):
+        term.map_generators(target, {"b": target.zero()})
+    assert term.map_generators(target, {"a": target.zero(), "b": target.gen("b")}).is_zero()
+
+
+def test_map_generators_rejects_images_in_another_ring():
+    source = small_ring()
+    target = small_ring()
+    other = small_ring()
+    x = source.gen("a")
+    with pytest.raises(ValueError):
+        x.map_generators(target, {"a": other.gen("b")})
+    # also when the stray image is zero, so the term would be skipped
+    with pytest.raises(ValueError):
+        (x * source.gen("b")).map_generators(target, {"a": other.zero(), "b": target.gen("b")})
 
 
 def test_string_form_is_deterministic_and_sorted():

@@ -63,6 +63,19 @@ def test_truncation_drops_high_order_terms():
     assert (t ** 2) * (t ** 2) == TruncatedSeries.zero(sig, ring)
 
 
+def test_power_equals_the_repeated_product():
+    sig = signature(("x", "alpha"), (6, 6), weights=(1, 2), total_order=9)
+    ring = scalar_ring()
+    rng = random.Random(29)
+    x = TruncatedSeries.variable(sig, ring, "x")
+    for _ in range(5):
+        f = random_series(sig, ring, rng, "alpha") + x
+        product = TruncatedSeries.constant(sig, ring, ring.one())
+        for n in range(9):
+            assert f ** n == product, n
+            product = product * f
+
+
 def test_weighted_truncation_counts_degree_not_exponent():
     # alpha carries weight 2, so alpha^3 already exceeds a total order of 6
     sig = signature(("x", "alpha"), (10, 10), weights=(1, 2), total_order=6)
