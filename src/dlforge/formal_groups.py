@@ -220,7 +220,7 @@ def reduce_mod_two_series(series, p, var="alpha", max_passes=10_000):
             if vec[i] == 0:
                 continue
             poly = work.terms[vec]
-            for mono in sorted(poly.terms):
+            for mono in sorted(poly.terms, key=ring.unpack):
                 c = poly.terms[mono]
                 if c.denominator != 1:
                     raise ArithmeticError(

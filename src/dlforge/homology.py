@@ -97,7 +97,7 @@ class DLModel(CartanExtension):
             )
         out = self.ring.zero()
         for mono in element.terms:
-            out = out + self.apply_mono(s, mono)
+            out = out + self.apply_mono(s, self.ring.unpack(mono))
         return out
 
     def _inverse_component(self, d):
@@ -141,7 +141,7 @@ class DLModel(CartanExtension):
                 e += 1
 
         build(0, d, [])
-        return [self.ring.make({tuple(sorted(m)): 1}) for m in sorted(out)]
+        return [self.ring.make({self.ring.pack(m): 1}) for m in sorted(out)]
 
     def monomials_up_to(self, d):
         out = []

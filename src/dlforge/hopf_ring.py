@@ -253,14 +253,15 @@ def import_pseries(result, identification=None, source_name=None):
         for mono, scalar in poly.terms.items():
             if int(scalar) % 2 == 0:
                 continue
-            if len(mono) == 0:
+            pairs = ring.unpack(mono)
+            if len(pairs) == 0:
                 raise IdentificationError(
                     "unit-multiple coefficient %s alpha^%d is outside the"
                     " identification's domain" % (scalar, i)
                 )
-            if len(mono) > 1 or mono[0][1] > 1:
+            if len(pairs) > 1 or pairs[0][1] > 1:
                 continue  # decomposable
-            name = ring.generators[mono[0][0]].name
+            name = ring.generators[pairs[0][0]].name
             if name not in identification:
                 raise IdentificationError(
                     "no identification provided for coefficient generator %r" % name

@@ -6,8 +6,21 @@ by the homology models.  All arithmetic is exact: scalars are either bits
 (the field with two elements) or ``fractions.Fraction``.  No floating point
 appears anywhere in this package.
 
-Monomials are stored as sorted tuples of ``(generator_index, exponent)``
-pairs; a polynomial is a mapping from monomials to nonzero scalars.
+A polynomial is a mapping from monomials to nonzero scalars.  A monomial
+is one packed ``int``: fields of ``FIELD_BITS`` bits each, the lowest holding
+the monomial's weighted degree and field ``i + 1`` the exponent of generator
+``i``.  Generator ``i`` packs to ``1 << FIELD_BITS * (i + 1)`` plus its
+degree, so multiplying monomials is adding their keys, the degree of a
+monomial is its lowest field, and a monomial has the same key in every ring
+whose generators start with the same ones.  The top bit of every field is a
+guard bit that no valid monomial sets.  Two valid fields add up to less
+than ``2 * FIELD_LIMIT`` and never carry into their neighbour, so a product
+whose exponent or degree reaches ``FIELD_LIMIT`` sets a guard bit and raises
+``OverflowError`` instead of wrapping.  The guard bits also test
+divisibility: ``lhs`` divides ``mono`` exactly when no field of
+``(mono | guard) - lhs`` borrows its guard bit.  Only ``PolynomialRing``
+knows this layout; ``PolynomialRing.pack`` and ``PolynomialRing.unpack``
+convert from and to sorted ``(generator_index, exponent)`` tuples.
 """
 
 from __future__ import annotations
@@ -16,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
+    "FIELD_BITS",
+    "FIELD_LIMIT",
     "GF2",
     "QQ",
     "Generator",
@@ -101,6 +116,10 @@ class _QQ:
 GF2 = _F2()
 QQ = _QQ()
 
+FIELD_BITS = 32
+FIELD_LIMIT = 1 << (FIELD_BITS - 1)  # the first exponent or degree a field cannot hold
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -143,11 +162,57 @@ class PolynomialRing:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
+        if any(g.degree < 0 for g in self.generators):
+            raise ValueError("generator degrees must be nonnegative")
         self.index = {g.name: i for i, g in enumerate(self.generators)}
         self.degrees = tuple(g.degree for g in self.generators)
+        self.gen_keys = frozenset(
+            (1 << FIELD_BITS * (i + 1)) + d for i, d in enumerate(self.degrees)
+        )
+        self.guard = sum(FIELD_LIMIT << FIELD_BITS * k for k in range(len(self.generators) + 1))
         self.relations = None
+        # the relation heads when every relation kills its head (products
+        # then drop the monomials they divide), None for rewrite rules
+        self.kill_heads = ()
         if relations is not None:
             self.relations = relations._bind(self)
+            rules = self.relations.rules
+            if any(rhs for _, rhs in rules):
+                self.kill_heads = None
+            else:
+                self.kill_heads = tuple(lhs for lhs, _ in rules)
+
+    # -- packed monomials ---------------------------------------------------
+
+    def pack(self, pairs):
+        """The packed monomial of ``(generator_index, exponent)`` pairs."""
+        mono = degree = 0
+        for i, e in pairs:
+            if e < 0:
+                raise ValueError("exponents must be nonnegative")
+            if e >= FIELD_LIMIT:
+                raise OverflowError("exponent %d does not fit a monomial field" % e)
+            mono += e << FIELD_BITS * (i + 1)
+            degree += e * self.degrees[i]
+        if degree >= FIELD_LIMIT or mono & self.guard:
+            raise OverflowError("monomial does not fit its packed fields")
+        return mono + degree
+
+    @staticmethod
+    def unpack(mono):
+        """The sorted ``((generator_index, exponent), ...)`` tuple of a monomial."""
+        pairs = []
+        rest = mono >> FIELD_BITS
+        while rest:
+            field = ((rest & -rest).bit_length() - 1) // FIELD_BITS
+            e = (rest >> FIELD_BITS * field) & _FIELD_MASK
+            pairs.append((field, e))
+            rest ^= e << FIELD_BITS * field
+        return tuple(pairs)
+
+    @staticmethod
+    def monomial_degree(mono):
+        return mono & _FIELD_MASK
 
     # -- element constructors -------------------------------------------
 
@@ -163,19 +228,18 @@ class PolynomialRing:
 
     def scalar(self, c):
         c = self.scalars.coerce(c)
-        return self.make({(): c} if c != self.scalars.zero else {})
+        return self.make({0: c} if c != self.scalars.zero else {})
 
     def gen(self, name, exp=1):
         if name not in self.index:
             raise KeyError("no generator named %r" % name)
         if exp < 0:
             raise ValueError("exponents must be nonnegative")
-        mono = ((self.index[name], exp),) if exp else ()
-        return self.make({mono: self.scalars.one})
+        return self.make({self.pack(((self.index[name], exp),)): self.scalars.one})
 
     def monomial(self, powers, coeff=1):
         """Element c * prod(name^exp) from a {name: exp} mapping."""
-        mono = tuple(sorted((self.index[n], e) for n, e in powers.items() if e))
+        mono = self.pack((self.index[n], e) for n, e in powers.items())
         return self.make({mono: self.scalars.coerce(coeff)})
 
     # -- internals -------------------------------------------------------
@@ -185,9 +249,6 @@ class PolynomialRing:
         if self.relations is None:
             return cleaned
         return self.relations._reduce_terms(cleaned)
-
-    def monomial_degree(self, mono):
-        return sum(self.degrees[i] * e for i, e in mono)
 
     def __repr__(self):
         rel = "" if self.relations is None else " with relations"
@@ -218,12 +279,12 @@ class QuotientPresentation:
         bound.ring = ring
         bound.rules = []
         for lhs_powers, rhs in self.spec:
-            lhs = tuple(sorted((ring.index[n], e) for n, e in lhs_powers.items() if e))
+            lhs = ring.pack((ring.index[n], e) for n, e in lhs_powers.items())
             if not lhs:
                 raise ValueError("relation head must be a nontrivial monomial")
             rhs_terms = {}
             for powers, c in rhs.items():
-                mono = tuple(sorted((ring.index[n], e) for n, e in dict(powers).items() if e))
+                mono = ring.pack((ring.index[n], e) for n, e in dict(powers).items())
                 rhs_terms[mono] = ring.scalars.coerce(c)
             ldeg = ring.monomial_degree(lhs)
             for m in rhs_terms:
@@ -232,18 +293,11 @@ class QuotientPresentation:
             bound.rules.append((lhs, rhs_terms))
         return bound
 
-    @staticmethod
-    def _divide(mono, lhs):
+    def _divide(self, mono, lhs):
         """mono / lhs as a monomial, or None if lhs does not divide mono."""
-        have = dict(mono)
-        for i, e in lhs:
-            if have.get(i, 0) < e:
-                return None
-        for i, e in lhs:
-            have[i] -= e
-            if have[i] == 0:
-                del have[i]
-        return tuple(sorted(have.items()))
+        guard = self.ring.guard
+        r = (mono | guard) - lhs
+        return r ^ guard if r & guard == guard else None
 
     def _reduce_terms(self, terms):
         ring = self.ring
@@ -267,7 +321,9 @@ class QuotientPresentation:
                 changed = True
                 q, rhs = hit
                 for rmono, rc in rhs.items():
-                    m = _merge_monomials(q, rmono)
+                    m = q + rmono
+                    if m & ring.guard:
+                        raise _overflow()
                     c = ring.scalars.add(
                         out.get(m, ring.scalars.zero), ring.scalars.mul(coeff, rc)
                     )
@@ -300,11 +356,8 @@ def positive_power(x, n):
     return acc
 
 
-def _merge_monomials(a, b):
-    have = dict(a)
-    for i, e in b:
-        have[i] = have.get(i, 0) + e
-    return tuple(sorted((i, e) for i, e in have.items() if e))
+def _overflow():
+    return OverflowError("a product exponent or degree overflows its packed field")
 
 
 class GradedPolynomial:
@@ -342,25 +395,35 @@ class GradedPolynomial:
         self._check(other)
         ring = self.ring
         sc = ring.scalars
+        guard = ring.guard
         out = {}
         if sc is GF2 and ring.relations is None:
             # every coefficient is 1, so a monomial survives exactly when it
             # arises an odd number of times: toggle its presence (XOR)
             for m1 in self.terms:
                 for m2 in other.terms:
-                    m = _merge_monomials(m1, m2)
+                    m = m1 + m2
+                    if m & guard:
+                        raise _overflow()
                     if out.pop(m, None) is None:
                         out[m] = 1
             return GradedPolynomial(ring, out)
+        kills = ring.kill_heads
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _merge_monomials(m1, m2)
+                m = m1 + m2
+                if m & guard:
+                    raise _overflow()
+                if kills and any(((m | guard) - h) & guard == guard for h in kills):
+                    continue
                 s = sc.add(out.get(m, sc.zero), sc.mul(c1, c2))
                 if s == sc.zero:
                     out.pop(m, None)
                 else:
                     out[m] = s
-        return ring.make(out)
+        # products of normal forms only need rewriting under rules with a
+        # right-hand side; killed monomials were dropped above
+        return ring.make(out) if kills is None else GradedPolynomial(ring, out)
 
     def __pow__(self, n):
         if n < 0:
@@ -411,7 +474,7 @@ class GradedPolynomial:
     # -- structure queries --------------------------------------------------
 
     def constant_term(self):
-        return self.terms.get((), self.ring.scalars.zero)
+        return self.terms.get(0, self.ring.scalars.zero)
 
     def indecomposable_part(self):
         """Image under projection to the span of single generators.
@@ -419,8 +482,8 @@ class GradedPolynomial:
         Keeps terms that are a lone generator to the first power; constants
         and products (including proper powers) are decomposable and drop.
         """
-        out = {m: c for m, c in self.terms.items() if len(m) == 1 and m[0][1] == 1}
-        return self.ring.make(out)
+        gens = self.ring.gen_keys
+        return self.ring.make({m: c for m, c in self.terms.items() if m in gens})
 
     def is_integral(self):
         sc = self.ring.scalars
@@ -463,7 +526,7 @@ class GradedPolynomial:
         out = target_ring.zero()
         for mono, coeff in self.terms.items():
             factors = []
-            for i, e in mono:
+            for i, e in self.ring.unpack(mono):
                 name = self.ring.generators[i].name
                 if name not in images:
                     raise KeyError("no image for generator %r" % name)
@@ -483,13 +546,13 @@ class GradedPolynomial:
 
     def _mono_sort_key(self, mono):
         vec = [0] * len(self.ring.generators)
-        for i, e in mono:
+        for i, e in self.ring.unpack(mono):
             vec[i] = e
         return (self.ring.monomial_degree(mono), [-v for v in reversed(vec)])
 
     def _fmt_mono(self, mono):
         parts = []
-        for i, e in mono:
+        for i, e in self.ring.unpack(mono):
             name = self.ring.generators[i].name
             parts.append(name if e == 1 else "%s^%d" % (name, e))
         return " ".join(parts)

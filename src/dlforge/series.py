@@ -239,11 +239,14 @@ class TruncatedSeries:
 
         acc = TruncatedSeries.zero(sig, ring)
         for vec, coeff in self.terms.items():
-            term = TruncatedSeries.constant(sig, ring, coeff)
+            term = None
             for i, e in enumerate(vec):
                 if e:
-                    term = term * power(i, e)
-            acc = acc + term
+                    term = power(i, e) if term is None else term * power(i, e)
+            if term is None:
+                acc = acc + TruncatedSeries.constant(sig, ring, coeff)
+            else:
+                acc = acc + term.scale(coeff)
         return acc
 
     def identity_images(self):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from dlforge import formal_groups
 from dlforge.formal_groups import (
     appendix_pipeline,
     bracket2_series,
@@ -200,3 +201,19 @@ def test_pipeline_is_memoized_after_filling_in_defaults():
     explicit = appendix_pipeline(2, preset("appendix-z-v3"), alpha_order=20, y_order=4)
     assert default is explicit
     assert appendix_pipeline(2, alpha_order=21) is not default
+
+
+def test_pipeline_does_a_pinned_number_of_series_products(monkeypatch):
+    # an exact work count, so waste in the series layer fails here even on a
+    # machine too noisy to time it
+    calls = []
+    mul = TruncatedSeries.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    formal_groups._appendix_pipeline.cache_clear()
+    assert all(ok for _, ok in appendix_pipeline(2).checks)
+    assert len(calls) == 288

@@ -6,9 +6,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlforge.homology import MUHomology
 from dlforge.polynomial import (
+    FIELD_LIMIT,
     GF2,
     QQ,
     Generator,
@@ -122,14 +125,19 @@ def test_power_equals_the_repeated_product(ring):
 
 
 def reference_gf2_product(x, y):
-    """Term-by-term product: count each product monomial, keep odd counts."""
+    """Term-by-term product: count each product monomial, keep odd counts.
+
+    Exponents are added on unpacked monomials, so the reference does not
+    share the packed arithmetic it checks.
+    """
+    ring = x.ring
     counts = Counter()
     for m1 in x.terms:
         for m2 in y.terms:
-            exponents = Counter(dict(m1))
-            exponents.update(dict(m2))
+            exponents = Counter(dict(ring.unpack(m1)))
+            exponents.update(dict(ring.unpack(m2)))
             counts[tuple(sorted(exponents.items()))] += 1
-    return {m: 1 for m, c in counts.items() if c % 2}
+    return {ring.pack(m): 1 for m, c in counts.items() if c % 2}
 
 
 def test_gf2_product_matches_term_by_term_reference():
@@ -256,3 +264,98 @@ def test_string_form_is_deterministic_and_sorted():
     ring = small_ring()
     p = ring.gen("b") + ring.gen("a", 2) + ring.gen("c") * ring.gen("a")
     assert str(p) == str(ring.gen("a", 2) + ring.gen("c") * ring.gen("a") + ring.gen("b"))
+
+
+def packing_ring():
+    # degree 0 lets an exponent grow without the degree field growing
+    degrees = (0, 1, 2, 7, 14, 30)
+    pres = QuotientPresentation([({"g1": 2}, {})])
+    return PolynomialRing(GF2, [Generator("g%d" % i, d) for i, d in enumerate(degrees)], pres)
+
+
+exponent_vectors = st.lists(st.integers(0, 40), min_size=6, max_size=6)
+
+
+def pairs_of(vector):
+    return tuple((i, e) for i, e in enumerate(vector) if e)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(exponent_vectors)
+def test_pack_round_trips_and_packs_the_weighted_degree(vector):
+    ring = packing_ring()
+    pairs = pairs_of(vector)
+    mono = ring.pack(pairs)
+    assert ring.unpack(mono) == pairs
+    assert ring.monomial_degree(mono) == sum(d * e for d, e in zip(ring.degrees, vector))
+
+
+def reference_divide(mono, lhs):
+    """Exponent-wise division of (index, exponent) tuples, or None."""
+    have = dict(mono)
+    for i, e in lhs:
+        if have.get(i, 0) < e:
+            return None
+        have[i] -= e
+    return tuple(sorted((i, e) for i, e in have.items() if e))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(exponent_vectors, exponent_vectors)
+def test_guard_bit_division_matches_the_exponentwise_reference(top, bottom):
+    ring = packing_ring()
+    mono, lhs = pairs_of(top), pairs_of(bottom)
+    want = reference_divide(mono, lhs)
+    got = ring.relations._divide(ring.pack(mono), ring.pack(lhs))
+    assert got == (None if want is None else ring.pack(want))
+    # a quotient multiplied back is the monomial it came from
+    if want is not None:
+        assert got + ring.pack(lhs) == ring.pack(mono)
+
+
+def test_an_exponent_at_the_field_limit_overflows():
+    ring = PolynomialRing(QQ, [Generator("z", 0), Generator("d", 2)])
+    with pytest.raises(OverflowError):
+        ring.gen("z", FIELD_LIMIT)
+    with pytest.raises(OverflowError):
+        ring.monomial({"z": FIELD_LIMIT})
+    with pytest.raises(OverflowError):  # the exponent fits, the degree does not
+        ring.gen("d", FIELD_LIMIT // 2)
+    top = ring.gen("z", FIELD_LIMIT - 1)
+    assert ring.unpack(next(iter(top.terms))) == ((0, FIELD_LIMIT - 1),)
+    kill = QuotientPresentation([({"k": 2}, {})])
+    for scalars, relations in ((QQ, None), (GF2, None), (QQ, kill), (GF2, kill)):
+        r = PolynomialRing(scalars, [Generator("z", 0), Generator("d", 2), Generator("k", 1)], relations)
+        with pytest.raises(OverflowError):
+            r.gen("z", FIELD_LIMIT - 1) * r.gen("z")
+        with pytest.raises(OverflowError):
+            r.gen("d", FIELD_LIMIT // 4) * r.gen("d", FIELD_LIMIT // 4)
+
+
+def test_a_negative_generator_degree_is_rejected():
+    with pytest.raises(ValueError):
+        PolynomialRing(GF2, [Generator("a", 1), Generator("n", -2)])
+
+
+@pytest.mark.parametrize(
+    "scalars, degrees, heads",
+    [(QQ, {"v3": 14}, {"v3": 2}), (GF2, {"a": 1, "b": 2}, {"a": 2})],
+    ids=["Q[v3]/(v3^2)", "GF2[a,b]/(a^2)"],
+)
+def test_kill_only_products_are_free_products_without_the_killed_monomials(scalars, degrees, heads):
+    gens = [Generator(n, d) for n, d in degrees.items()]
+    quotient = PolynomialRing(scalars, gens, QuotientPresentation([(heads, {})]))
+    free = PolynomialRing(scalars, gens)
+    head = {free.index[n]: e for n, e in heads.items()}
+
+    def killed(mono):
+        have = dict(free.unpack(mono))
+        return all(have.get(i, 0) >= e for i, e in head.items())
+
+    rng = random.Random(12)
+    for _ in range(40):
+        x = random_element(quotient, rng, max_terms=5)
+        y = random_element(quotient, rng, max_terms=5)
+        product = free.make(x.terms) * free.make(y.terms)
+        want = {m: c for m, c in product.terms.items() if not killed(m)}
+        assert (x * y).terms == want

@@ -34,7 +34,7 @@ def dense(series, var, order):
     out = []
     for e in range(order):
         c = series.coefficient({var: e})
-        out.append(Fraction(0) if c.is_zero() else c.terms[()])
+        out.append(Fraction(0) if c.is_zero() else c.constant_term())
     return out
 
 
