@@ -216,10 +216,11 @@ def reduce_mod_two_series(series, p, var="alpha", max_passes=10_000):
     multiplier = TruncatedSeries.zero(sig, ring)
     for _ in range(max_passes):
         excess_vec = None
-        for vec in sorted(work.terms):
+        terms = work.terms
+        for vec in sorted(terms):
             if vec[i] == 0:
                 continue
-            poly = work.terms[vec]
+            poly = terms[vec]
             for mono in sorted(poly.terms, key=ring.unpack):
                 c = poly.terms[mono]
                 if c.denominator != 1:
@@ -235,7 +236,7 @@ def reduce_mod_two_series(series, p, var="alpha", max_passes=10_000):
         if excess_vec is None:
             return ReductionResult(work, multiplier, bracket2, var)
         vec, mono, q = excess_vec
-        excess = TruncatedSeries(sig, ring, {vec: ring.make({mono: Fraction(q)})})
+        excess = TruncatedSeries.from_terms(sig, ring, {vec: ring.make({mono: Fraction(q)})})
         work = work - excess * bracket2
         multiplier = multiplier + excess
     raise ArithmeticError("mod-2 series reduction did not terminate")
@@ -334,17 +335,16 @@ def _appendix_pipeline(n, p, alpha_order, y_order):
 
 def _lift(series, order):
     """Re-embed a univariate series into a larger truncation order."""
-    sig = signature(series.sig.variables, (order,), series.sig.weights)
-    return TruncatedSeries(sig, series.ring, dict(series.terms))
+    return series.retruncate(signature(series.sig.variables, (order,), series.sig.weights))
 
 
 def _truncate_var(series, var, bound):
-    i = series.sig.index(var)
-    return TruncatedSeries(
-        series.sig,
-        series.ring,
-        {vec: c for vec, c in series.terms.items() if vec[i] < bound},
-    )
+    """Drop the terms with ``var`` at or past ``bound``; the signature stays."""
+    sig = series.sig
+    i = sig.index(var)
+    orders = sig.orders[:i] + (min(sig.orders[i], bound),) + sig.orders[i + 1 :]
+    cut = signature(sig.variables, orders, sig.weights, sig.total_order)
+    return series.retruncate(cut).retruncate(sig)
 
 
 def verify_isogeny_derivative(p=None, x_order=5, alpha_order=24):

@@ -18,15 +18,31 @@ than ``2 * FIELD_LIMIT`` and never carry into their neighbour, so a product
 whose exponent or degree reaches ``FIELD_LIMIT`` sets a guard bit and raises
 ``OverflowError`` instead of wrapping.  The guard bits also test
 divisibility: ``lhs`` divides ``mono`` exactly when no field of
-``(mono | guard) - lhs`` borrows its guard bit.  Only ``PolynomialRing``
-knows this layout; ``PolynomialRing.pack`` and ``PolynomialRing.unpack``
-convert from and to sorted ``(generator_index, exponent)`` tuples.
+``(mono | guard) - lhs`` borrows its guard bit.
+
+The same subtraction kills monomials.  A ring whose relations all kill a
+power of a single generator, and a ring given exponent ``orders`` or a
+``degree_order`` (the truncated series rings), keeps every such bound in
+one packed *limit word* ``limit``: field ``f`` of it holds the first value
+field ``f`` may not reach.  Subtracting it borrows exactly the guard bits
+of the fields that stay under their limits, so ``mono`` is killed exactly
+when ``((mono | guard) - limit) & limited`` is nonzero, where ``limited``
+holds the guard bits of the bounded fields.  That is one OR, one
+subtraction and one AND per product monomial.  Only a ring with other
+relations (a rewrite rule, or a killed product of two generators) runs the
+relation pass in ``make``.
+
+Only ``PolynomialRing`` and the series rings of ``series`` know this
+layout; ``PolynomialRing.pack`` and ``PolynomialRing.unpack`` convert from
+and to sorted ``(generator_index, exponent)`` tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 __all__ = [
     "FIELD_BITS",
@@ -151,12 +167,14 @@ def indecomposable_degrees(generators, max_degree):
 class PolynomialRing:
     """A graded polynomial ring with named generators and optional relations.
 
-    ``relations`` is a ``QuotientPresentation`` (or None).  Elements reduce
-    against the relations on construction, so every ``GradedPolynomial`` is
-    in normal form.
+    ``relations`` is a ``QuotientPresentation`` (or None).  ``orders`` gives
+    each generator an exclusive exponent bound (None for no bound) and
+    ``degree_order`` an exclusive bound on the degree: monomials past a
+    bound are zero.  Elements reduce against the relations and the bounds
+    on construction, so every ``GradedPolynomial`` is in normal form.
     """
 
-    def __init__(self, scalars, generators, relations=None):
+    def __init__(self, scalars, generators, relations=None, orders=None, degree_order=None):
         self.scalars = scalars
         self.generators = tuple(generators)
         names = [g.name for g in self.generators]
@@ -170,17 +188,34 @@ class PolynomialRing:
             (1 << FIELD_BITS * (i + 1)) + d for i, d in enumerate(self.degrees)
         )
         self.guard = sum(FIELD_LIMIT << FIELD_BITS * k for k in range(len(self.generators) + 1))
+        # a key with no field at or above 2^(FIELD_BITS - 2) adds to any other
+        # such key without reaching a guard bit
+        self.top_bits = self.guard | self.guard >> 1
+        if orders is not None and len(orders) != len(self.generators):
+            raise ValueError("orders must match the generators")
+        limits = {}  # field index -> the first value the field may not reach
+        if degree_order is not None:
+            limits[0] = degree_order
+        for i, o in enumerate(orders or ()):
+            if o is not None:
+                limits[i + 1] = o
         self.relations = None
-        # the relation heads when every relation kills its head (products
-        # then drop the monomials they divide), None for rewrite rules
-        self.kill_heads = ()
+        # True when make must run the relation pass: some relation is not
+        # the kill of a single generator's power
+        self.rewrites = False
         if relations is not None:
             self.relations = relations._bind(self)
-            rules = self.relations.rules
-            if any(rhs for _, rhs in rules):
-                self.kill_heads = None
+            heads = [self.unpack(lhs) for lhs, rhs in self.relations.rules if not rhs]
+            if len(heads) == len(self.relations.rules) and all(len(h) == 1 for h in heads):
+                for ((i, e),) in heads:
+                    limits[i + 1] = min(e, limits.get(i + 1, e))
             else:
-                self.kill_heads = tuple(lhs for lhs, _ in rules)
+                self.rewrites = True
+        if any(v < 0 for v in limits.values()):
+            raise ValueError("orders must be nonnegative")
+        # a limit of FIELD_LIMIT bounds nothing a field can hold
+        self.limit = sum(min(v, FIELD_LIMIT) << FIELD_BITS * f for f, v in limits.items())
+        self.limited = sum(FIELD_LIMIT << FIELD_BITS * f for f in limits)
 
     # -- packed monomials ---------------------------------------------------
 
@@ -214,6 +249,10 @@ class PolynomialRing:
     def monomial_degree(mono):
         return mono & _FIELD_MASK
 
+    def kills(self, mono):
+        """True when a field of ``mono`` reaches its limit, so it is zero here."""
+        return bool(((mono | self.guard) - self.limit) & self.limited)
+
     # -- element constructors -------------------------------------------
 
     def make(self, terms):
@@ -228,7 +267,8 @@ class PolynomialRing:
 
     def scalar(self, c):
         c = self.scalars.coerce(c)
-        return self.make({0: c} if c != self.scalars.zero else {})
+        keep = c != self.scalars.zero and not self.kills(0)
+        return GradedPolynomial(self, {0: c} if keep else {})
 
     def gen(self, name, exp=1):
         if name not in self.index:
@@ -246,9 +286,11 @@ class PolynomialRing:
 
     def _reduce(self, terms):
         cleaned = {m: c for m, c in terms.items() if c != self.scalars.zero}
-        if self.relations is None:
-            return cleaned
-        return self.relations._reduce_terms(cleaned)
+        if self.rewrites:
+            cleaned = self.relations._reduce_terms(cleaned)
+        if self.limited:
+            cleaned = {m: c for m, c in cleaned.items() if not self.kills(m)}
+        return cleaned
 
     def __repr__(self):
         rel = "" if self.relations is None else " with relations"
@@ -386,7 +428,9 @@ class GradedPolynomial:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return self.ring.make(out)
+        # no monomial of a sum of normal forms divides by a relation head or
+        # reaches a limit, so the sum is a normal form
+        return GradedPolynomial(self.ring, out)
 
     def __sub__(self, other):
         return self + other.scale(self.ring.scalars.neg(self.ring.scalars.one))
@@ -395,35 +439,44 @@ class GradedPolynomial:
         self._check(other)
         ring = self.ring
         sc = ring.scalars
-        guard = ring.guard
         out = {}
-        if sc is GF2 and ring.relations is None:
+        if (
+            sc is GF2
+            and not ring.limited
+            and not ring.rewrites
+            and not (reduce(or_, self.terms, 0) | reduce(or_, other.terms, 0)) & ring.top_bits
+        ):
             # every coefficient is 1, so a monomial survives exactly when it
-            # arises an odd number of times: toggle its presence (XOR)
+            # arises an odd number of times: toggle its presence (XOR).  No
+            # field of either operand reaches its top two bits, so no sum
+            # reaches a guard bit and the loop needs no overflow check.
             for m1 in self.terms:
                 for m2 in other.terms:
                     m = m1 + m2
-                    if m & guard:
-                        raise _overflow()
                     if out.pop(m, None) is None:
                         out[m] = 1
             return GradedPolynomial(ring, out)
-        kills = ring.kill_heads
+        guard, limit, limited = ring.guard, ring.limit, ring.limited
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 + m2
                 if m & guard:
                     raise _overflow()
-                if kills and any(((m | guard) - h) & guard == guard for h in kills):
+                if limited and ((m | guard) - limit) & limited:
                     continue
-                s = sc.add(out.get(m, sc.zero), sc.mul(c1, c2))
+                s = out.get(m)
+                if s is None:
+                    # the scalars are a field, so the product is nonzero
+                    out[m] = sc.mul(c1, c2)
+                    continue
+                s = sc.add(s, sc.mul(c1, c2))
                 if s == sc.zero:
-                    out.pop(m, None)
+                    del out[m]
                 else:
                     out[m] = s
-        # products of normal forms only need rewriting under rules with a
-        # right-hand side; killed monomials were dropped above
-        return ring.make(out) if kills is None else GradedPolynomial(ring, out)
+        # products of normal forms only need the relation pass under rules
+        # the limit word does not hold; limited monomials were dropped above
+        return ring.make(out) if ring.rewrites else GradedPolynomial(ring, out)
 
     def __pow__(self, n):
         if n < 0:
@@ -435,7 +488,10 @@ class GradedPolynomial:
     def scale(self, c):
         sc = self.ring.scalars
         c = sc.coerce(c)
-        return self.ring.make({m: sc.mul(v, c) for m, v in self.terms.items()})
+        if c == sc.zero:
+            return self.ring.zero()
+        # the scalars are a field, so no coefficient becomes zero
+        return GradedPolynomial(self.ring, {m: sc.mul(v, c) for m, v in self.terms.items()})
 
     def __eq__(self, other):
         return (

@@ -2,21 +2,49 @@
 
 A series has an ordered tuple of named variables, each with an integer
 weight, per-variable truncation orders (exponents >= order are dropped) and
-an optional weighted total-degree order.  Coefficients are
-``GradedPolynomial`` elements of a fixed coefficient ring, so quotient
-relations in the coefficients (a square-zero generator, say) are applied on
-every operation.
+an optional weighted total-degree order.  Coefficients lie in a fixed
+coefficient ring, so quotient relations in the coefficients (a square-zero
+generator, say) are applied on every operation.
 
 Orders are exclusive: ``order=4`` in x keeps x^0 .. x^3.
+
+A series is one ``GradedPolynomial`` in a *series ring*, built once per
+(coefficient ring, signature) by ``series_ring``.  Its generators are the
+coefficient ring's k generators at degree 0, then the series variables at
+their weights.  So a packed monomial (see ``polynomial``) holds the
+weighted series degree in its degree field, the exponents of a coefficient
+monomial in fields 1..k, and the series exponents in the fields after them.
+The coefficient part of a key (fields 1..k, degree 0) is the same in every
+series ring over one coefficient ring.
+
+Every truncation is the series ring's limit word: each variable's order,
+the nilpotence of the coefficient generators (2 for v3 in Q[v3]/(v3^2)) and
+``total_order`` on the degree field.  A product monomial survives exactly
+when no field reaches its limit, which the kernel tests with one OR, one
+subtraction and one AND.  So series products, sums and scalings are the
+kernel's; retruncating is a change of ring plus a filter on the new limit
+word; ``derivative`` and ``divide_exact`` subtract from the keys.
+``TruncatedSeries.terms`` converts back to ``{exponent tuple: coefficient}``
+for display and for readers outside the arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .polynomial import GradedPolynomial, positive_power
+from .polynomial import (
+    FIELD_BITS,
+    Generator,
+    GradedPolynomial,
+    PolynomialRing,
+    QuotientPresentation,
+    positive_power,
+)
 
-__all__ = ["SeriesSignature", "TruncatedSeries", "signature"]
+__all__ = ["SeriesSignature", "TruncatedSeries", "series_ring", "signature"]
+
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -33,20 +61,17 @@ class SeriesSignature:
             raise ValueError("duplicate series variables")
         if len(self.weights) != len(self.variables) or len(self.orders) != len(self.variables):
             raise ValueError("weights/orders must match the variable tuple")
+        # a negative bound would borrow across the fields of the limit word
+        if any(o < 0 for o in self.orders) or any(w < 0 for w in self.weights):
+            raise ValueError("series orders and weights must be nonnegative")
+        if self.total_order is not None and self.total_order < 0:
+            raise ValueError("total_order must be nonnegative")
 
     def index(self, var):
         try:
             return self.variables.index(var)
         except ValueError:
             raise KeyError("no series variable named %r" % var) from None
-
-    def keeps(self, expvec):
-        if any(e >= o for e, o in zip(expvec, self.orders)):
-            return False
-        if self.total_order is not None:
-            if sum(e * w for e, w in zip(expvec, self.weights)) >= self.total_order:
-                return False
-        return True
 
     def meet(self, other):
         """Common refinement: elementwise minimum of the truncation orders."""
@@ -73,80 +98,146 @@ def signature(variables, orders, weights=None, total_order=None):
     return SeriesSignature(variables, tuple(weights), tuple(orders), total_order)
 
 
+@lru_cache(maxsize=128)
+def series_ring(ring, sig):
+    """The polynomial ring that holds the series over ``ring`` with ``sig``.
+
+    Built on first use and cached, so that series of one signature share one
+    ring.  The cache is bounded so that it does not keep every coefficient
+    ring alive for the life of the process; a series whose ring was evicted
+    still works, and meets the rebuilt ring through ``retruncate``.
+    """
+    gens = [Generator(g.name, 0) for g in ring.generators]
+    gens += [Generator(v, w) for v, w in zip(sig.variables, sig.weights)]
+    relations = None if ring.relations is None else QuotientPresentation(ring.relations.spec)
+    orders = (None,) * len(ring.generators) + sig.orders
+    return PolynomialRing(ring.scalars, gens, relations, orders, sig.total_order)
+
+
+def _coefficient_keys(sring, ring, coeff):
+    """``{coefficient key: scalar}`` of a coefficient-ring element in ``sring``."""
+    if coeff.ring is not ring:
+        raise ValueError("elements of different rings")
+    return {sring.pack(ring.unpack(m)): c for m, c in coeff.terms.items()}
+
+
+def _rehome(poly, ring):
+    """``poly`` as an element of the series ring ``ring`` of the same layout."""
+    if poly.ring is ring:
+        return poly
+    return GradedPolynomial(ring, {m: c for m, c in poly.terms.items() if not ring.kills(m)})
+
+
 class TruncatedSeries:
-    """A truncated power series.  Treat as immutable."""
+    """A truncated power series.  Treat as immutable.
 
-    __slots__ = ("sig", "ring", "terms")
+    ``ring`` is the coefficient ring and ``poly`` the series as an element
+    of ``series_ring(ring, sig)``.
+    """
 
-    def __init__(self, sig, ring, terms):
+    __slots__ = ("sig", "ring", "poly")
+
+    def __init__(self, sig, ring, poly):
         self.sig = sig
         self.ring = ring
-        self.terms = terms
+        self.poly = poly
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, sig, ring):
-        return cls(sig, ring, {})
+        return cls(sig, ring, series_ring(ring, sig).zero())
 
     @classmethod
     def constant(cls, sig, ring, coeff):
-        if isinstance(coeff, GradedPolynomial):
-            c = coeff
-        else:
-            c = ring.scalar(coeff)
-        zerovec = (0,) * len(sig.variables)
-        return cls(sig, ring, {zerovec: c} if not c.is_zero() and sig.keeps(zerovec) else {})
+        if not isinstance(coeff, GradedPolynomial):
+            coeff = ring.scalar(coeff)
+        return cls.from_terms(sig, ring, {(0,) * len(sig.variables): coeff})
 
     @classmethod
     def variable(cls, sig, ring, var):
-        i = sig.index(var)
-        vec = tuple(1 if j == i else 0 for j in range(len(sig.variables)))
-        if not sig.keeps(vec):
-            return cls.zero(sig, ring)
-        return cls(sig, ring, {vec: ring.one()})
+        sig.index(var)  # a KeyError that names the series variable
+        return cls(sig, ring, series_ring(ring, sig).gen(var))
 
-    def _make(self, terms):
-        return TruncatedSeries(
-            self.sig, self.ring, {v: c for v, c in terms.items() if not c.is_zero()}
-        )
+    @classmethod
+    def from_terms(cls, sig, ring, terms):
+        """The series of an ``{exponent tuple: coefficient}`` mapping."""
+        sring = series_ring(ring, sig)
+        k = len(ring.generators)
+        out = {}
+        for vec, coeff in terms.items():
+            key = sring.pack((k + j, e) for j, e in enumerate(vec))
+            for m, c in _coefficient_keys(sring, ring, coeff).items():
+                out[key + m] = c
+        return cls(sig, ring, sring.make(out))
+
+    # -- packed layout --------------------------------------------------------
+
+    def _shift(self, i):
+        """Bit offset of the field of series variable ``i``."""
+        return FIELD_BITS * (len(self.ring.generators) + 1 + i)
+
+    def _unit(self, i):
+        """The key of series variable ``i`` to the first power."""
+        return (1 << self._shift(i)) + self.sig.weights[i]
+
+    def _exponent(self, mono, i):
+        return (mono >> self._shift(i)) & _FIELD_MASK
+
+    def _coefficient_mask(self):
+        return ((1 << FIELD_BITS * len(self.ring.generators)) - 1) << FIELD_BITS
+
+    def _by_exponents(self):
+        """``{series key: {coefficient key: scalar}}``; a series key holds the
+        series exponents and degree, a coefficient key the coefficient ring's
+        fields."""
+        mask = self._coefficient_mask()
+        out = {}
+        for m, c in self.poly.terms.items():
+            cm = m & mask
+            out.setdefault(m - cm, {})[cm] = c
+        return out
+
+    def _coefficient(self, coefficient_terms):
+        """The coefficient-ring element of ``{coefficient key: scalar}``."""
+        ring, unpack = self.ring, self.poly.ring.unpack
+        return GradedPolynomial(ring, {ring.pack(unpack(m)): c for m, c in coefficient_terms.items()})
 
     # -- ring operations ----------------------------------------------------
 
     def _align(self, other):
+        a, b = self.poly, other.poly
+        if a.ring is b.ring:
+            return self.sig, a, b
         if self.ring is not other.ring:
             raise ValueError("series over different coefficient rings")
         sig = self.sig.meet(other.sig)
-        return sig, self.retruncate(sig), other.retruncate(sig)
+        ring = series_ring(self.ring, sig)
+        return sig, _rehome(a, ring), _rehome(b, ring)
 
     def __add__(self, other):
         sig, a, b = self._align(other)
-        out = dict(a.terms)
-        for v, c in b.terms.items():
-            s = out.get(v)
-            out[v] = c if s is None else s + c
-        return TruncatedSeries(sig, self.ring, {v: c for v, c in out.items() if not c.is_zero()})
+        return TruncatedSeries(sig, self.ring, a + b)
 
     def __sub__(self, other):
         return self + other.scale(self.ring.scalars.neg(self.ring.scalars.one))
 
     def __mul__(self, other):
         sig, a, b = self._align(other)
-        out = {}
-        for v1, c1 in a.terms.items():
-            for v2, c2 in b.terms.items():
-                v = tuple(x + y for x, y in zip(v1, v2))
-                if not sig.keeps(v):
-                    continue
-                c = c1 * c2
-                s = out.get(v)
-                out[v] = c if s is None else s + c
-        return TruncatedSeries(sig, self.ring, {v: c for v, c in out.items() if not c.is_zero()})
+        return TruncatedSeries(sig, self.ring, a * b)
 
     def scale(self, c):
+        """Multiply by a scalar or by an element of the coefficient ring."""
         if not isinstance(c, GradedPolynomial):
-            c = self.ring.scalar(c)
-        return self._make({v: k * c for v, k in self.terms.items()})
+            return TruncatedSeries(self.sig, self.ring, self.poly.scale(c))
+        return self._times(_coefficient_keys(self.poly.ring, self.ring, c))
+
+    def _times(self, coefficient_terms):
+        """Multiply by the coefficient given as ``{coefficient key: scalar}``."""
+        if coefficient_terms.keys() == {0}:
+            return TruncatedSeries(self.sig, self.ring, self.poly.scale(coefficient_terms[0]))
+        sring = self.poly.ring
+        return TruncatedSeries(self.sig, self.ring, self.poly * sring.make(coefficient_terms))
 
     def __pow__(self, n):
         if n < 0:
@@ -156,20 +247,31 @@ class TruncatedSeries:
         return positive_power(self, n)
 
     def __eq__(self, other):
+        # keys carry the weighted degree, so series of other weights differ
         return (
             isinstance(other, TruncatedSeries)
             and self.ring is other.ring
             and self.sig.variables == other.sig.variables
-            and self.terms == other.terms
+            and self.sig.weights == other.sig.weights
+            and self.poly.terms == other.poly.terms
         )
 
     def __hash__(self):
-        return hash((self.sig.variables, tuple(sorted(self.terms))))
+        return hash((self.sig.variables, frozenset(self.poly.terms)))
 
     # -- queries ------------------------------------------------------------
 
+    @property
+    def terms(self):
+        """The ``{exponent tuple: coefficient}`` view, built on each access."""
+        n = len(self.sig.variables)
+        return {
+            tuple(self._exponent(key, j) for j in range(n)): self._coefficient(coeffs)
+            for key, coeffs in self._by_exponents().items()
+        }
+
     def is_zero(self):
-        return not self.terms
+        return not self.poly.terms
 
     def coefficient(self, powers):
         """Coefficient of the monomial given by a {var: exp} mapping."""
@@ -181,38 +283,37 @@ class TruncatedSeries:
     def coefficient_series(self, var, e):
         """Coefficient of var^e as a series in the remaining variables."""
         i = self.sig.index(var)
-        out = {}
-        for vec, c in self.terms.items():
-            if vec[i] == e:
-                out[vec[:i] + vec[i + 1 :]] = c
-        return TruncatedSeries(self.sig.drop(var), self.ring, out)
+        out = {vec[:i] + vec[i + 1 :]: c for vec, c in self.terms.items() if vec[i] == e}
+        return TruncatedSeries.from_terms(self.sig.drop(var), self.ring, out)
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * len(self.sig.variables), self.ring.zero())
+        mask = self._coefficient_mask()
+        return self._coefficient({m: c for m, c in self.poly.terms.items() if m & mask == m})
 
     def max_exponent(self, var):
         i = self.sig.index(var)
-        if not self.terms:
+        if not self.poly.terms:
             return None
-        return max(vec[i] for vec in self.terms)
+        return max(self._exponent(m, i) for m in self.poly.terms)
 
     def is_integral(self):
-        return all(c.is_integral() for c in self.terms.values())
+        return self.poly.is_integral()
 
     def assert_integral(self, what="series"):
+        if self.poly.is_integral():
+            return self
         for vec, c in sorted(self.terms.items()):
             if not c.is_integral():
                 raise ArithmeticError(
                     "%s left the integral lattice at %s: %s" % (what, vec, c)
                 )
-        return self
 
     # -- reshaping ------------------------------------------------------------
 
     def retruncate(self, sig):
-        if sig.variables != self.sig.variables:
-            raise ValueError("retruncate cannot change variables")
-        return TruncatedSeries(sig, self.ring, {v: c for v, c in self.terms.items() if sig.keeps(v)})
+        if sig.variables != self.sig.variables or sig.weights != self.sig.weights:
+            raise ValueError("retruncate cannot change variables or weights")
+        return TruncatedSeries(sig, self.ring, _rehome(self.poly, series_ring(self.ring, sig)))
 
     def substitute(self, images):
         """Substitute series for every variable.
@@ -228,6 +329,8 @@ class TruncatedSeries:
         for s in imgs[1:]:
             if s.sig != target.sig or s.ring is not target.ring:
                 raise ValueError("substitution images must share a signature")
+        if target.ring is not self.ring:
+            raise ValueError("series over different coefficient rings")
         sig, ring = target.sig, target.ring
         powers = [[img] for img in imgs]  # powers[i][e - 1] is imgs[i] ** e
 
@@ -238,15 +341,17 @@ class TruncatedSeries:
             return cache[e - 1]
 
         acc = TruncatedSeries.zero(sig, ring)
-        for vec, coeff in self.terms.items():
+        for key, coeffs in self._by_exponents().items():
             term = None
-            for i, e in enumerate(vec):
+            for i in range(len(imgs)):
+                e = self._exponent(key, i)
                 if e:
                     term = power(i, e) if term is None else term * power(i, e)
             if term is None:
-                acc = acc + TruncatedSeries.constant(sig, ring, coeff)
+                # coefficient keys are the same in the target's series ring
+                acc = acc + TruncatedSeries(sig, ring, acc.poly.ring.make(coeffs))
             else:
-                acc = acc + term.scale(coeff)
+                acc = acc + term._times(coeffs)
         return acc
 
     def identity_images(self):
@@ -282,19 +387,22 @@ class TruncatedSeries:
         by composing back.
         """
         i = self.sig.index(var)
-        lin = None
-        for vec, c in self.terms.items():
-            if vec[i] == 0:
+        unit = self._unit(i)
+        mask = self._coefficient_mask()
+        lin = {}
+        higher = {}
+        for m, c in self.poly.terms.items():
+            if not self._exponent(m, i):
                 raise ValueError("series does not vanish at %s = 0" % var)
-            if vec[i] == 1 and sum(vec) == 1:
-                lin = c
-        if lin is None:
+            if m - (m & mask) == unit:
+                lin[m - unit] = c
+            else:
+                higher[m] = c
+        if not lin:
             raise ValueError("series has no linear term in %s" % var)
-        lininv = lin.inverse()
+        lininv = self._coefficient(lin).inverse()
         t = TruncatedSeries.variable(self.sig, self.ring, var)
-        higher = self._make(
-            {vec: c for vec, c in self.terms.items() if not (vec[i] == 1 and sum(vec) == 1)}
-        )
+        higher = TruncatedSeries(self.sig, self.ring, GradedPolynomial(self.poly.ring, higher))
         ids = self.identity_images()
         w = t
         for _ in range(max_steps):
@@ -310,39 +418,47 @@ class TruncatedSeries:
             raise ArithmeticError("compositional inverse did not converge under truncation")
         return w
 
+    def _shifted(self, var, k, out):
+        """The series of keys ``out`` after var's order dropped by ``k``."""
+        i = self.sig.index(var)
+        orders = list(self.sig.orders)
+        orders[i] = max(orders[i] - k, 0)
+        sig = SeriesSignature(self.sig.variables, self.sig.weights, tuple(orders), self.sig.total_order)
+        return TruncatedSeries(sig, self.ring, GradedPolynomial(series_ring(self.ring, sig), out))
+
     def derivative(self, var):
         """Formal derivative; the truncation order in ``var`` drops by one."""
         i = self.sig.index(var)
+        unit = self._unit(i)
+        sc = self.ring.scalars
         out = {}
-        for vec, c in self.terms.items():
-            if vec[i] == 0:
-                continue
-            nv = vec[:i] + (vec[i] - 1,) + vec[i + 1 :]
-            out[nv] = c.scale(vec[i])
-        orders = list(self.sig.orders)
-        orders[i] = max(orders[i] - 1, 0)
-        sig = SeriesSignature(self.sig.variables, self.sig.weights, tuple(orders), self.sig.total_order)
-        return TruncatedSeries(sig, self.ring, {v: c for v, c in out.items() if not c.is_zero()})
+        for m, c in self.poly.terms.items():
+            e = self._exponent(m, i)
+            if e:
+                d = sc.mul(c, sc.coerce(e))
+                if d != sc.zero:
+                    out[m - unit] = d
+        return self._shifted(var, 1, out)
 
     def divide_exact(self, var, k):
         """Exact division by var^k; raises if any term has a lower exponent."""
         i = self.sig.index(var)
+        step = k * self._unit(i)
         out = {}
-        for vec, c in self.terms.items():
-            if vec[i] < k:
+        for m, c in self.poly.terms.items():
+            if self._exponent(m, i) < k:
+                vec = tuple(self._exponent(m, j) for j in range(len(self.sig.variables)))
                 raise ArithmeticError(
                     "series is not divisible by %s^%d (term %s)" % (var, k, (vec,))
                 )
-            out[vec[:i] + (vec[i] - k,) + vec[i + 1 :]] = c
-        orders = list(self.sig.orders)
-        orders[i] = orders[i] - k
-        sig = SeriesSignature(self.sig.variables, self.sig.weights, tuple(orders), self.sig.total_order)
-        return TruncatedSeries(sig, self.ring, out)
+            out[m - step] = c
+        return self._shifted(var, k, out)
 
     # -- display -----------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         names = self.sig.variables
 
@@ -359,8 +475,8 @@ class TruncatedSeries:
             return (sum(e * w for e, w in zip(vec, self.sig.weights)), vec)
 
         chunks = []
-        for vec in sorted(self.terms, key=key):
-            c = self.terms[vec]
+        for vec in sorted(terms, key=key):
+            c = terms[vec]
             body = fmt(vec)
             ctext = str(c)
             neg = ctext.startswith("-") and "+" not in ctext and "- " not in ctext[1:]
@@ -383,3 +499,4 @@ class TruncatedSeries:
 
     def __repr__(self):
         return "<series %s>" % self
+

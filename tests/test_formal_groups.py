@@ -20,6 +20,7 @@ from dlforge.formal_groups import (
     reduce_mod_two_series,
     verify_isogeny_derivative,
 )
+from dlforge.polynomial import GradedPolynomial
 from dlforge.series import TruncatedSeries, signature
 
 
@@ -217,3 +218,19 @@ def test_pipeline_does_a_pinned_number_of_series_products(monkeypatch):
     formal_groups._appendix_pipeline.cache_clear()
     assert all(ok for _, ok in appendix_pipeline(2).checks)
     assert len(calls) == 288
+
+
+def test_pipeline_does_a_pinned_number_of_kernel_products(monkeypatch):
+    # each of the 288 series products is one kernel product; the rest scale
+    # by non-constant coefficients or multiply in the coefficient ring
+    calls = []
+    mul = GradedPolynomial.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(GradedPolynomial, "__mul__", counted)
+    formal_groups._appendix_pipeline.cache_clear()
+    assert all(ok for _, ok in appendix_pipeline(2).checks)
+    assert len(calls) == 354

@@ -359,3 +359,63 @@ def test_kill_only_products_are_free_products_without_the_killed_monomials(scala
         product = free.make(x.terms) * free.make(y.terms)
         want = {m: c for m, c in product.terms.items() if not killed(m)}
         assert (x * y).terms == want
+
+
+def test_gf2_products_check_overflow_only_near_the_field_limit():
+    ring = PolynomialRing(GF2, [Generator("z", 0), Generator("d", 1)])
+    high = ring.gen("z", FIELD_LIMIT // 2)  # a field at 2^30 sets its second-highest bit
+    assert high * ring.gen("z") == ring.gen("z", FIELD_LIMIT // 2 + 1)
+    with pytest.raises(OverflowError):
+        high * high
+
+
+@pytest.mark.parametrize("which", ["Q[v3]/(v3^2)", "GF2 H_*MU"])
+def test_sums_and_scalings_match_the_make_route(which):
+    if which == "GF2 H_*MU":
+        ring = MUHomology(40).ring
+        scalars = (0, 1)
+    else:
+        pres = QuotientPresentation([({"v3": 2}, {})])
+        ring = PolynomialRing(QQ, [Generator("v3", 14), Generator("w", 2)], relations=pres)
+        scalars = (0, 1, -3, Fraction(5, 2))
+    sc = ring.scalars
+    rng = random.Random(31)
+    for _ in range(40):
+        x = random_element(ring, rng, max_terms=6)
+        y = random_element(ring, rng, max_terms=6)
+        merged = dict(x.terms)
+        for m, c in y.terms.items():
+            merged[m] = sc.add(merged.get(m, sc.zero), c)
+        assert (x + y).terms == ring.make(merged).terms
+        assert (x - x).terms == {}
+        for c in scalars:
+            c = sc.coerce(c)
+            assert x.scale(c).terms == ring.make({m: sc.mul(v, c) for m, v in x.terms.items()}).terms
+            assert ring.scalar(c).terms == ring.make({0: c}).terms
+
+
+def test_the_limit_word_rejects_negative_or_misplaced_orders():
+    with pytest.raises(ValueError):
+        PolynomialRing(QQ, [Generator("x", 1)], orders=(-1,))
+    with pytest.raises(ValueError):  # a limit past the last field
+        PolynomialRing(QQ, [Generator("x", 1)], orders=(3, 3))
+    with pytest.raises(ValueError):
+        PolynomialRing(QQ, [Generator("x", 1)], degree_order=-1)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(exponent_vectors, st.lists(st.none() | st.integers(0, 41), min_size=6, max_size=6), st.none() | st.integers(0, 400))
+def test_the_limit_word_kills_exactly_the_monomials_past_a_limit(vector, orders, degree_order):
+    # orders and the degree order of a truncated series ring, together with
+    # the kill of g1^2 from the packing ring's presentation
+    ring = PolynomialRing(
+        GF2, packing_ring().generators, QuotientPresentation([({"g1": 2}, {})]), orders, degree_order
+    )
+    limits = list(orders)
+    limits[1] = 2 if limits[1] is None else min(limits[1], 2)
+    degree = sum(d * e for d, e in zip(ring.degrees, vector))
+    want = any(o is not None and e >= o for e, o in zip(vector, limits))
+    want = want or (degree_order is not None and degree >= degree_order)
+    mono = ring.pack(pairs_of(vector))
+    assert ring.kills(mono) == want
+    assert ring.make({mono: 1}).is_zero() == want

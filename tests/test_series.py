@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dlforge.polynomial import QQ, Generator, PolynomialRing
-from dlforge.series import TruncatedSeries, signature
+from dlforge.polynomial import QQ, Generator, PolynomialRing, QuotientPresentation
+from dlforge.series import TruncatedSeries, series_ring, signature
 
 
 def scalar_ring():
@@ -201,3 +203,236 @@ def test_string_form_is_deterministic():
     y = TruncatedSeries.variable(sig, ring, "y")
     f = y ** 2 + x * y + x
     assert str(f) == str(x + x * y + y ** 2)
+
+
+def test_a_negative_order_weight_or_total_order_is_rejected():
+    # a negative bound would borrow across the fields of the limit word
+    with pytest.raises(ValueError):
+        signature(("t",), (-1,))
+    with pytest.raises(ValueError):
+        signature(("t",), (3,), weights=(-1,))
+    with pytest.raises(ValueError):
+        signature(("t",), (3,), total_order=-1)
+
+
+def test_divide_exact_clamps_the_order_at_zero():
+    sig, ring = one_var(3)
+    quotient = TruncatedSeries.zero(sig, ring).divide_exact("t", 5)
+    assert quotient.is_zero()
+    assert quotient.sig.orders == (0,)
+
+
+def test_series_outlive_an_evicted_series_ring():
+    sig, ring = one_var(6)
+    t = TruncatedSeries.variable(sig, ring, "t")
+    series_ring.cache_clear()
+    u = TruncatedSeries.variable(sig, ring, "t")
+    assert t.poly.ring is not u.poly.ring
+    assert t * u == u * u
+    assert t + u == u.scale(2)
+
+
+# -- reference: the dict-of-exponent-tuples algorithm ---------------------------
+#
+# A reference series is {exponent tuple: {v3 exponent: Fraction}} over
+# Q[v3]/(v3^2).  It has its own truncation test and coefficient arithmetic,
+# so it shares no arithmetic with the packed kernel it checks.
+
+V3_RING = PolynomialRing(QQ, [Generator("v3", 14)], QuotientPresentation([({"v3": 2}, {})]))
+NAMES = ("x", "y", "z")
+
+
+def ref_keeps(sig, vec):
+    if any(e >= o for e, o in zip(vec, sig.orders)):
+        return False
+    if sig.total_order is not None:
+        return sum(e * w for e, w in zip(vec, sig.weights)) < sig.total_order
+    return True
+
+
+def ref_clean(terms):
+    out = {}
+    for vec, coeff in terms.items():
+        coeff = {k: c for k, c in coeff.items() if c}
+        if coeff:
+            out[vec] = coeff
+    return out
+
+
+def ref_truncate(sig, terms):
+    return {vec: c for vec, c in terms.items() if ref_keeps(sig, vec)}
+
+
+def ref_coeff_mul(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            if i + j < 2:  # v3^2 = 0
+                out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def ref_add(sig, a, b):
+    out = {vec: dict(c) for vec, c in ref_truncate(sig, a).items()}
+    for vec, c in ref_truncate(sig, b).items():
+        acc = out.setdefault(vec, {})
+        for k, x in c.items():
+            acc[k] = acc.get(k, 0) + x
+    return ref_clean(out)
+
+
+def ref_mul(sig, a, b):
+    out = {}
+    for v1, c1 in ref_truncate(sig, a).items():
+        for v2, c2 in ref_truncate(sig, b).items():
+            vec = tuple(x + y for x, y in zip(v1, v2))
+            if not ref_keeps(sig, vec):
+                continue
+            acc = out.setdefault(vec, {})
+            for k, x in ref_coeff_mul(c1, c2).items():
+                acc[k] = acc.get(k, 0) + x
+    return ref_clean(out)
+
+
+def ref_scale(terms, coeff):
+    return ref_clean({vec: ref_coeff_mul(c, coeff) for vec, c in terms.items()})
+
+
+def ref_substitute(terms, images, sig):
+    acc = {}
+    for vec, coeff in terms.items():
+        term = ref_truncate(sig, {(0,) * len(sig.variables): {0: Fraction(1)}})
+        for image, e in zip(images, vec):
+            for _ in range(e):
+                term = ref_mul(sig, term, image)
+        acc = ref_add(sig, acc, ref_scale(term, coeff))
+    return acc
+
+
+def ref_shift(terms, i, k, scale_by_exponent):
+    out = {}
+    for vec, coeff in terms.items():
+        if vec[i] < k:
+            raise ArithmeticError("not divisible")
+        if scale_by_exponent:
+            coeff = {j: c * vec[i] for j, c in coeff.items()}
+        out[vec[:i] + (vec[i] - k,) + vec[i + 1 :]] = coeff
+    return ref_clean(out)
+
+
+def ref_of(series):
+    """The reference form of a series, read through its ``terms`` view."""
+    return {
+        vec: {dict(V3_RING.unpack(m)).get(0, 0): c for m, c in coeff.terms.items()}
+        for vec, coeff in series.terms.items()
+    }
+
+
+def coefficient_of(coeff):
+    out = V3_RING.zero()
+    for k, c in coeff.items():
+        out = out + V3_RING.monomial({"v3": k}, c)
+    return out
+
+
+def series_of(sig, terms):
+    return TruncatedSeries.from_terms(
+        sig, V3_RING, {vec: coefficient_of(c) for vec, c in terms.items()}
+    )
+
+
+scalars = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+coefficients = st.dictionaries(st.integers(0, 1), scalars, min_size=1, max_size=2)
+
+
+triples = st.tuples(*(st.integers(0, 5) for _ in NAMES))
+totals = st.none() | st.integers(0, 10)
+signatures = st.builds(
+    lambda n, w, o, t: signature(NAMES[:n], o[:n], w[:n], t),
+    st.integers(1, len(NAMES)),
+    st.tuples(*(st.integers(0, 3) for _ in NAMES)),
+    triples,
+    totals,
+)
+raw_terms = st.dictionaries(triples, coefficients, max_size=6)
+
+
+def reference_terms(sig, raw):
+    """Drawn terms cut down to the signature's variables and truncation."""
+    n = len(sig.variables)
+    return ref_clean(ref_truncate(sig, {vec[:n]: c for vec, c in raw.items()}))
+
+
+@st.composite
+def series_pairs(draw):
+    a = draw(signatures)
+    b = signature(a.variables, draw(triples)[: len(a.variables)], a.weights, draw(totals))
+    return a, reference_terms(a, draw(raw_terms)), b, reference_terms(b, draw(raw_terms))
+
+
+DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+@DIFFERENTIAL
+@given(series_pairs(), coefficients, scalars)
+def test_ring_operations_match_the_reference(pair, coeff, scalar):
+    sa, ta, sb, tb = pair
+    a, b = series_of(sa, ta), series_of(sb, tb)
+    meet = sa.meet(sb)
+    assert ref_of(a) == ta and ref_of(b) == tb
+    for got, want in (
+        (a * b, ref_mul(meet, ta, tb)),
+        (a + b, ref_add(meet, ta, tb)),
+        (a - b, ref_add(meet, ta, ref_scale(tb, {0: Fraction(-1)}))),
+    ):
+        assert got.sig == meet
+        assert ref_of(got) == want
+    assert ref_of(a.scale(coefficient_of(coeff))) == ref_scale(ta, coeff)
+    assert ref_of(a.scale(scalar)) == ref_scale(ta, {0: scalar})
+    assert ref_of(a.retruncate(sb)) == ref_truncate(sb, ta)
+    assert ref_of(a.retruncate(meet)) == ref_truncate(meet, ta)
+
+
+@st.composite
+def substitutions(draw):
+    source = draw(signatures)
+    target = draw(signatures)
+    images = [reference_terms(target, draw(raw_terms)) for _ in source.variables]
+    return source, reference_terms(source, draw(raw_terms)), target, images
+
+
+@DIFFERENTIAL
+@given(substitutions())
+def test_substitute_matches_the_reference(case):
+    source, terms, target, images = case
+    got = series_of(source, terms).substitute(
+        {v: series_of(target, image) for v, image in zip(source.variables, images)}
+    )
+    assert got.sig == target
+    assert ref_of(got) == ref_substitute(terms, images, target)
+
+
+@DIFFERENTIAL
+@given(signatures, raw_terms, st.integers(0, len(NAMES) - 1), st.integers(0, 3))
+def test_derivative_and_divide_exact_match_the_reference(sig, raw, i, k):
+    terms = reference_terms(sig, raw)
+    i %= len(sig.variables)
+    var = sig.variables[i]
+    series = series_of(sig, terms)
+
+    def order_dropped_by(k):
+        orders = sig.orders[:i] + (max(sig.orders[i] - k, 0),) + sig.orders[i + 1 :]
+        return signature(sig.variables, orders, sig.weights, sig.total_order)
+
+    got = series.derivative(var)
+    assert got.sig == order_dropped_by(1)
+    assert ref_of(got) == ref_shift({v: c for v, c in terms.items() if v[i]}, i, 1, True)
+    try:
+        want = ref_shift(terms, i, k, False)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            series.divide_exact(var, k)
+        return
+    got = series.divide_exact(var, k)
+    assert got.sig == order_dropped_by(k)
+    assert ref_of(got) == want
