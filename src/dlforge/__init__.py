@@ -23,7 +23,6 @@ from .polynomial import (
     PolynomialRing,
     binomial_mod2,
     graded_inverse,
-    indecomposable_degrees,
 )
 from .rewriting import (
     DLPolynomial,

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 ``dlforge run`` executes a named verification suite and emits a report,
-``dlforge normalize`` rewrites an expression to the admissible basis, and
+``dlforge normalize`` reduces an expression to the admissible basis, and
 ``dlforge en-level`` reports the minimal operadic level an expression
 needs.  Exit codes: 0 all checks pass, 1 some check fails, 2 usage or
 configuration error.
@@ -12,9 +12,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .expressions import en_level_witness, min_en_level, parse_context, parse_expression
+from .expressions import (
+    UnknownGeneratorError,
+    en_level_witness,
+    min_en_level,
+    parse_context,
+    parse_expression,
+)
 from .rewriting import normalize
-from .suites import SUITE_NAMES, SuiteError, emit_report, run_suite
+from .suites import SUITE_NAMES, emit_report, run_suite
 
 _CONFIG_KEYS = {"max_degree", "truncation", "inject_fault", "scrub_timing"}
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -136,16 +142,22 @@ def build_parser():
     return parser
 
 
+def _error_text(exc):
+    """The message of an input error; str() of a KeyError quotes it."""
+    if isinstance(exc, UnknownGeneratorError):
+        return "unknown generator %r" % exc.args[0]
+    if isinstance(exc, KeyError) and exc.args:
+        return str(exc.args[0])
+    return str(exc)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SuiteError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
     except (ValueError, KeyError, OSError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
+        sys.stderr.write("error: %s\n" % _error_text(exc))
         return 2
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomial import QQ, Generator, GradedPolynomial, PolynomialRing, QuotientPresentation
+from .polynomial import QQ, Generator, GradedPolynomial, PolynomialRing
 from .series import TruncatedSeries, signature
 
 __all__ = [
@@ -106,11 +106,7 @@ def _build_presets():
             "the additive law over the integers; an independent cross-check",
         )
     )
-    ring = PolynomialRing(
-        QQ,
-        [Generator("v3", 14)],
-        QuotientPresentation([({"v3": 2}, {})]),
-    )
+    ring = PolynomialRing(QQ, [Generator("v3", 14)], orders=(2,))
     register_preset(
         LogarithmPreset(
             "appendix-z-v3",

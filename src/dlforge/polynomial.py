@@ -1,8 +1,8 @@
 """Exact graded-commutative polynomial arithmetic over F2 and Q.
 
-Supports weighted gradings, explicit monomial-relation quotients (nilpotent
-generators and the like), and the indecomposable-projection bookkeeping used
-by the homology models.  All arithmetic is exact: scalars are either bits
+Supports weighted gradings, generator orders (nilpotent generators such as
+v3 with v3^2 = 0), and the indecomposable-projection bookkeeping used by
+the homology models.  All arithmetic is exact: scalars are either bits
 (the field with two elements) or ``fractions.Fraction``.  No floating point
 appears anywhere in this package.
 
@@ -16,21 +16,16 @@ whose generators start with the same ones.  The top bit of every field is a
 guard bit that no valid monomial sets.  Two valid fields add up to less
 than ``2 * FIELD_LIMIT`` and never carry into their neighbour, so a product
 whose exponent or degree reaches ``FIELD_LIMIT`` sets a guard bit and raises
-``OverflowError`` instead of wrapping.  The guard bits also test
-divisibility: ``lhs`` divides ``mono`` exactly when no field of
-``(mono | guard) - lhs`` borrows its guard bit.
+``OverflowError`` instead of wrapping.
 
-The same subtraction kills monomials.  A ring whose relations all kill a
-power of a single generator, and a ring given exponent ``orders`` or a
-``degree_order`` (the truncated series rings), keeps every such bound in
-one packed *limit word* ``limit``: field ``f`` of it holds the first value
-field ``f`` may not reach.  Subtracting it borrows exactly the guard bits
-of the fields that stay under their limits, so ``mono`` is killed exactly
-when ``((mono | guard) - limit) & limited`` is nonzero, where ``limited``
-holds the guard bits of the bounded fields.  That is one OR, one
-subtraction and one AND per product monomial.  Only a ring with other
-relations (a rewrite rule, or a killed product of two generators) runs the
-relation pass in ``make``.
+The guard bits also kill monomials.  A ring keeps its generator ``orders``
+and its ``degree_order`` (the truncated series rings) in one packed *limit
+word* ``limit``: field ``f`` of it holds the first value field ``f`` may not
+reach.  Subtracting it borrows exactly the guard bits of the fields that
+stay under their limits, so ``mono`` is killed exactly when
+``((mono | guard) - limit) & limited`` is nonzero, where ``limited`` holds
+the guard bits of the bounded fields.  That is one OR, one subtraction and
+one AND per product monomial.
 
 Only ``PolynomialRing`` and the series rings of ``series`` know this
 layout; ``PolynomialRing.pack`` and ``PolynomialRing.unpack`` convert from
@@ -52,9 +47,7 @@ __all__ = [
     "Generator",
     "PolynomialRing",
     "GradedPolynomial",
-    "QuotientPresentation",
     "binomial_mod2",
-    "indecomposable_degrees",
     "positive_power",
 ]
 
@@ -159,22 +152,17 @@ def binomial_mod2(n, k):
     return 1 if (n - k) & k == 0 else 0
 
 
-def indecomposable_degrees(generators, max_degree):
-    """Degrees <= max_degree in which some generator lives."""
-    return {g.degree for g in generators if g.degree <= max_degree}
-
-
 class PolynomialRing:
-    """A graded polynomial ring with named generators and optional relations.
+    """A graded polynomial ring with named generators.
 
-    ``relations`` is a ``QuotientPresentation`` (or None).  ``orders`` gives
-    each generator an exclusive exponent bound (None for no bound) and
-    ``degree_order`` an exclusive bound on the degree: monomials past a
-    bound are zero.  Elements reduce against the relations and the bounds
-    on construction, so every ``GradedPolynomial`` is in normal form.
+    ``orders`` gives each generator an exclusive exponent bound (None for no
+    bound), so a generator of order 2 squares to zero, and ``degree_order``
+    an exclusive bound on the degree: monomials past a bound are zero.
+    Elements drop them on construction, so every ``GradedPolynomial`` is in
+    normal form.
     """
 
-    def __init__(self, scalars, generators, relations=None, orders=None, degree_order=None):
+    def __init__(self, scalars, generators, orders=None, degree_order=None):
         self.scalars = scalars
         self.generators = tuple(generators)
         names = [g.name for g in self.generators]
@@ -191,26 +179,13 @@ class PolynomialRing:
         # a key with no field at or above 2^(FIELD_BITS - 2) adds to any other
         # such key without reaching a guard bit
         self.top_bits = self.guard | self.guard >> 1
-        if orders is not None and len(orders) != len(self.generators):
+        self.orders = (None,) * len(self.generators) if orders is None else tuple(orders)
+        if len(self.orders) != len(self.generators):
             raise ValueError("orders must match the generators")
-        limits = {}  # field index -> the first value the field may not reach
+        # field index -> the first value the field may not reach
+        limits = {i + 1: o for i, o in enumerate(self.orders) if o is not None}
         if degree_order is not None:
             limits[0] = degree_order
-        for i, o in enumerate(orders or ()):
-            if o is not None:
-                limits[i + 1] = o
-        self.relations = None
-        # True when make must run the relation pass: some relation is not
-        # the kill of a single generator's power
-        self.rewrites = False
-        if relations is not None:
-            self.relations = relations._bind(self)
-            heads = [self.unpack(lhs) for lhs, rhs in self.relations.rules if not rhs]
-            if len(heads) == len(self.relations.rules) and all(len(h) == 1 for h in heads):
-                for ((i, e),) in heads:
-                    limits[i + 1] = min(e, limits.get(i + 1, e))
-            else:
-                self.rewrites = True
         if any(v < 0 for v in limits.values()):
             raise ValueError("orders must be nonnegative")
         # a limit of FIELD_LIMIT bounds nothing a field can hold
@@ -257,7 +232,12 @@ class PolynomialRing:
 
     def make(self, terms):
         """Normalize a {monomial: scalar} mapping into an element."""
-        return GradedPolynomial(self, self._reduce(terms))
+        zero = self.scalars.zero
+        if self.limited:
+            return GradedPolynomial(
+                self, {m: c for m, c in terms.items() if c != zero and not self.kills(m)}
+            )
+        return GradedPolynomial(self, {m: c for m, c in terms.items() if c != zero})
 
     def zero(self):
         return GradedPolynomial(self, {})
@@ -282,101 +262,14 @@ class PolynomialRing:
         mono = self.pack((self.index[n], e) for n, e in powers.items())
         return self.make({mono: self.scalars.coerce(coeff)})
 
-    # -- internals -------------------------------------------------------
-
-    def _reduce(self, terms):
-        cleaned = {m: c for m, c in terms.items() if c != self.scalars.zero}
-        if self.rewrites:
-            cleaned = self.relations._reduce_terms(cleaned)
-        if self.limited:
-            cleaned = {m: c for m, c in cleaned.items() if not self.kills(m)}
-        return cleaned
-
     def __repr__(self):
-        rel = "" if self.relations is None else " with relations"
+        # a generator order is a relation: Q[v3] with v3^2 = 0 is a quotient
+        rel = " with relations" if any(o is not None for o in self.orders) else ""
         return "PolynomialRing(%s[%s]%s)" % (
             self.scalars.name,
             ", ".join(g.name for g in self.generators),
             rel,
         )
-
-
-class QuotientPresentation:
-    """A finite list of monomial relations lhs -> rhs imposed on a ring.
-
-    Only the monomial-headed rewrites needed here are supported (nilpotent
-    generators, explicitly given binomial relations); this is not a Groebner
-    engine.  ``relations`` is a list of ``({name: exp}, rhs)`` pairs where
-    ``rhs`` is a ``{monomial_powers: coeff}`` mapping (``{}`` for zero).
-    """
-
-    _MAX_PASSES = 10_000
-
-    def __init__(self, relations):
-        self.spec = list(relations)
-
-    def _bind(self, ring):
-        bound = QuotientPresentation.__new__(QuotientPresentation)
-        bound.spec = self.spec
-        bound.ring = ring
-        bound.rules = []
-        for lhs_powers, rhs in self.spec:
-            lhs = ring.pack((ring.index[n], e) for n, e in lhs_powers.items())
-            if not lhs:
-                raise ValueError("relation head must be a nontrivial monomial")
-            rhs_terms = {}
-            for powers, c in rhs.items():
-                mono = ring.pack((ring.index[n], e) for n, e in dict(powers).items())
-                rhs_terms[mono] = ring.scalars.coerce(c)
-            ldeg = ring.monomial_degree(lhs)
-            for m in rhs_terms:
-                if ring.monomial_degree(m) != ldeg:
-                    raise ValueError("relation is not homogeneous")
-            bound.rules.append((lhs, rhs_terms))
-        return bound
-
-    def _divide(self, mono, lhs):
-        """mono / lhs as a monomial, or None if lhs does not divide mono."""
-        guard = self.ring.guard
-        r = (mono | guard) - lhs
-        return r ^ guard if r & guard == guard else None
-
-    def _reduce_terms(self, terms):
-        ring = self.ring
-        for _ in range(self._MAX_PASSES):
-            out = {}
-            changed = False
-            for mono, coeff in terms.items():
-                hit = None
-                for lhs, rhs in self.rules:
-                    q = self._divide(mono, lhs)
-                    if q is not None:
-                        hit = (q, rhs)
-                        break
-                if hit is None:
-                    c = ring.scalars.add(out.get(mono, ring.scalars.zero), coeff)
-                    if c == ring.scalars.zero:
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = c
-                    continue
-                changed = True
-                q, rhs = hit
-                for rmono, rc in rhs.items():
-                    m = q + rmono
-                    if m & ring.guard:
-                        raise _overflow()
-                    c = ring.scalars.add(
-                        out.get(m, ring.scalars.zero), ring.scalars.mul(coeff, rc)
-                    )
-                    if c == ring.scalars.zero:
-                        out.pop(m, None)
-                    else:
-                        out[m] = c
-            terms = out
-            if not changed:
-                return terms
-        raise RuntimeError("relation rewriting did not terminate")
 
 
 def positive_power(x, n):
@@ -396,10 +289,6 @@ def positive_power(x, n):
             acc = acc * x
         n >>= 1
     return acc
-
-
-def _overflow():
-    return OverflowError("a product exponent or degree overflows its packed field")
 
 
 class GradedPolynomial:
@@ -428,8 +317,8 @@ class GradedPolynomial:
                 out.pop(m, None)
             else:
                 out[m] = s
-        # no monomial of a sum of normal forms divides by a relation head or
-        # reaches a limit, so the sum is a normal form
+        # no monomial of a sum of normal forms reaches a limit, so the sum is
+        # a normal form
         return GradedPolynomial(self.ring, out)
 
     def __sub__(self, other):
@@ -443,7 +332,6 @@ class GradedPolynomial:
         if (
             sc is GF2
             and not ring.limited
-            and not ring.rewrites
             and not (reduce(or_, self.terms, 0) | reduce(or_, other.terms, 0)) & ring.top_bits
         ):
             # every coefficient is 1, so a monomial survives exactly when it
@@ -461,7 +349,7 @@ class GradedPolynomial:
             for m2, c2 in other.terms.items():
                 m = m1 + m2
                 if m & guard:
-                    raise _overflow()
+                    raise OverflowError("a product exponent or degree overflows its packed field")
                 if limited and ((m | guard) - limit) & limited:
                     continue
                 s = out.get(m)
@@ -474,9 +362,8 @@ class GradedPolynomial:
                     del out[m]
                 else:
                     out[m] = s
-        # products of normal forms only need the relation pass under rules
-        # the limit word does not hold; limited monomials were dropped above
-        return ring.make(out) if ring.rewrites else GradedPolynomial(ring, out)
+        # limited monomials were dropped above
+        return GradedPolynomial(ring, out)
 
     def __pow__(self, n):
         if n < 0:
@@ -554,8 +441,9 @@ class GradedPolynomial:
         """Inverse of unit-scalar + nilpotent elements.
 
         Works whenever the non-constant part is nilpotent in the ring (for
-        example modulo relations like a square-zero generator); raises if the
-        geometric series fails to terminate.
+        example under generator orders, such as a square-zero generator, or
+        in a truncated series ring); raises if the geometric series fails to
+        terminate.
         """
         sc = self.ring.scalars
         c = self.constant_term()

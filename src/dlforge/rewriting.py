@@ -5,7 +5,7 @@ two elements, on admissible operation words.  A word Q^{s_1}..Q^{s_k} g is
 kept as a basis symbol when consecutive entries satisfy s_i <= 2 s_{i+1}
 and the excess s_1 - (s_2 + .. + s_k) exceeds |g| (for admissible words the
 per-level slack only grows downward, so strictness at the top gives
-strictness everywhere).  Everything else rewrites:
+strictness everywhere).  Everything else is rewritten:
 
   * additivity        Q^s (a + b)  ->  Q^s a + Q^s b
   * instability       Q^s a = 0 for s < |a|,   Q^s a = a^2 for s = |a|
@@ -43,7 +43,7 @@ __all__ = [
     "verify_identity",
 ]
 
-# Watchdog: upper bound on Adem rewrites inside one top-level normalization.
+# Watchdog: upper bound on Adem steps inside one top-level normalization.
 STEP_BUDGET = 1_000_000
 
 
@@ -345,7 +345,7 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
     """Normalize Q^{s_1} .. Q^{s_k} applied to a generator.
 
     ``bottom-up`` resolves instability and inadmissibility from the inner
-    end outward (the canonical route).  ``top-down`` first rewrites the bare
+    end outward (the canonical route).  ``top-down`` first reduces the bare
     superscript sequence with Adem steps, always picking the leftmost
     inadmissible pair, and only then evaluates each admissible sequence;
     ``rightmost`` does the same but always picks the rightmost pair.

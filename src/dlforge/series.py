@@ -3,8 +3,8 @@
 A series has an ordered tuple of named variables, each with an integer
 weight, per-variable truncation orders (exponents >= order are dropped) and
 an optional weighted total-degree order.  Coefficients lie in a fixed
-coefficient ring, so quotient relations in the coefficients (a square-zero
-generator, say) are applied on every operation.
+coefficient ring, so its generator orders (a square-zero generator, say)
+are applied on every operation.
 
 Orders are exclusive: ``order=4`` in x keeps x^0 .. x^3.
 
@@ -18,7 +18,7 @@ The coefficient part of a key (fields 1..k, degree 0) is the same in every
 series ring over one coefficient ring.
 
 Every truncation is the series ring's limit word: each variable's order,
-the nilpotence of the coefficient generators (2 for v3 in Q[v3]/(v3^2)) and
+the coefficient generators' orders (2 for v3 in Q[v3]/(v3^2)) and
 ``total_order`` on the degree field.  A product monomial survives exactly
 when no field reaches its limit, which the kernel tests with one OR, one
 subtraction and one AND.  So series products, sums and scalings are the
@@ -38,7 +38,6 @@ from .polynomial import (
     Generator,
     GradedPolynomial,
     PolynomialRing,
-    QuotientPresentation,
     positive_power,
 )
 
@@ -109,9 +108,7 @@ def series_ring(ring, sig):
     """
     gens = [Generator(g.name, 0) for g in ring.generators]
     gens += [Generator(v, w) for v, w in zip(sig.variables, sig.weights)]
-    relations = None if ring.relations is None else QuotientPresentation(ring.relations.spec)
-    orders = (None,) * len(ring.generators) + sig.orders
-    return PolynomialRing(ring.scalars, gens, relations, orders, sig.total_order)
+    return PolynomialRing(ring.scalars, gens, ring.orders + sig.orders, sig.total_order)
 
 
 def _coefficient_keys(sring, ring, coeff):
@@ -363,20 +360,13 @@ class TruncatedSeries:
     # -- series calculus -------------------------------------------------------
 
     def invert(self, max_steps=2048):
-        """Multiplicative inverse; the constant coefficient must be a unit."""
-        c0 = self.constant_coefficient()
-        c0inv = c0.inverse()
-        u = (self.scale(c0inv) - TruncatedSeries.constant(self.sig, self.ring, self.ring.one())).scale(
-            self.ring.scalars.neg(self.ring.scalars.one)
-        )
-        acc = TruncatedSeries.constant(self.sig, self.ring, self.ring.one())
-        p = acc
-        for _ in range(max_steps):
-            p = p * u
-            if p.is_zero():
-                return acc.scale(c0inv)
-            acc = acc + p
-        raise ArithmeticError("series inversion did not terminate under truncation")
+        """Multiplicative inverse; the constant coefficient must be a unit.
+
+        Every non-constant monomial of a series ring is nilpotent, the
+        coefficient generators' part of the constant coefficient too, so the
+        kernel's geometric series finds the (unique) inverse.
+        """
+        return TruncatedSeries(self.sig, self.ring, self.poly.inverse(max_steps))
 
     def compositional_inverse(self, var, max_steps=256):
         """Inverse under composition in ``var`` (parameters ride along).

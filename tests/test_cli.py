@@ -163,7 +163,7 @@ def test_normalize_rejects_unknown_generator(tmp_path):
     context.write_text("gen x deg 2\n")
     proc = run_cli("normalize", "--context", str(context), "--expr", "Q3 w")
     assert proc.returncode == 2
-    assert proc.stderr
+    assert proc.stderr == "error: unknown generator 'w'\n"
 
 
 def test_en_level_subcommand(tmp_path):

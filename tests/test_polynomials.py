@@ -16,10 +16,8 @@ from dlforge.polynomial import (
     QQ,
     Generator,
     PolynomialRing,
-    QuotientPresentation,
     binomial_mod2,
     graded_inverse,
-    indecomposable_degrees,
 )
 
 
@@ -108,9 +106,8 @@ def test_frobenius_on_gf2_is_additive():
 
 
 def quotient_ring():
-    # a nilpotent generator and a binomial rewrite b^2 -> a^2 b
-    pres = QuotientPresentation([({"a": 3}, {}), ({"b": 2}, {(("a", 2), ("b", 1)): 1})])
-    return PolynomialRing(GF2, [Generator("a", 1), Generator("b", 2)], relations=pres)
+    # two nilpotent generators: a^3 = b^2 = 0
+    return PolynomialRing(GF2, [Generator("a", 1), Generator("b", 2)], orders=(3, 2))
 
 
 @pytest.mark.parametrize("ring", [small_ring(), rational_ring(), quotient_ring()], ids=repr)
@@ -157,8 +154,7 @@ def test_gf2_product_matches_term_by_term_reference():
 
 
 def test_quotient_normal_form_is_idempotent():
-    pres = QuotientPresentation([({"a": 2}, {})])
-    ring = PolynomialRing(GF2, [Generator("a", 1), Generator("b", 2)], relations=pres)
+    ring = PolynomialRing(GF2, [Generator("a", 1), Generator("b", 2)], orders=(2, None))
     squared = ring.gen("a", 2)
     assert squared.is_zero()
     survivor = ring.gen("a") * ring.gen("b", 3)
@@ -168,8 +164,7 @@ def test_quotient_normal_form_is_idempotent():
 
 def test_quotient_with_rewrite_rhs():
     # v3^2 = 0 over the rationals, the Appendix coefficient ring
-    pres = QuotientPresentation([({"v3": 2}, {})])
-    ring = PolynomialRing(QQ, [Generator("v3", 14)], relations=pres)
+    ring = PolynomialRing(QQ, [Generator("v3", 14)], orders=(2,))
     v3 = ring.gen("v3")
     assert (v3 * v3).is_zero()
     assert (ring.scalar(2) + v3) * (ring.scalar(3) + v3) == ring.scalar(6) + v3.scale(5)
@@ -210,12 +205,6 @@ def test_indecomposable_part_keeps_only_linear_generator_terms():
     ring = small_ring()
     p = ring.gen("c") + ring.gen("a") * ring.gen("b") + ring.gen("a", 3)
     assert p.indecomposable_part() == ring.gen("c")
-
-
-def test_indecomposable_degrees_lists_generator_degrees():
-    gens = small_ring().generators
-    assert indecomposable_degrees(gens, 3) == {1, 2, 3}
-    assert indecomposable_degrees(gens, 2) == {1, 2}
 
 
 def test_map_generators_respects_products():
@@ -269,8 +258,8 @@ def test_string_form_is_deterministic_and_sorted():
 def packing_ring():
     # degree 0 lets an exponent grow without the degree field growing
     degrees = (0, 1, 2, 7, 14, 30)
-    pres = QuotientPresentation([({"g1": 2}, {})])
-    return PolynomialRing(GF2, [Generator("g%d" % i, d) for i, d in enumerate(degrees)], pres)
+    gens = [Generator("g%d" % i, d) for i, d in enumerate(degrees)]
+    return PolynomialRing(GF2, gens, orders=(None, 2, None, None, None, None))
 
 
 exponent_vectors = st.lists(st.integers(0, 40), min_size=6, max_size=6)
@@ -290,29 +279,6 @@ def test_pack_round_trips_and_packs_the_weighted_degree(vector):
     assert ring.monomial_degree(mono) == sum(d * e for d, e in zip(ring.degrees, vector))
 
 
-def reference_divide(mono, lhs):
-    """Exponent-wise division of (index, exponent) tuples, or None."""
-    have = dict(mono)
-    for i, e in lhs:
-        if have.get(i, 0) < e:
-            return None
-        have[i] -= e
-    return tuple(sorted((i, e) for i, e in have.items() if e))
-
-
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(exponent_vectors, exponent_vectors)
-def test_guard_bit_division_matches_the_exponentwise_reference(top, bottom):
-    ring = packing_ring()
-    mono, lhs = pairs_of(top), pairs_of(bottom)
-    want = reference_divide(mono, lhs)
-    got = ring.relations._divide(ring.pack(mono), ring.pack(lhs))
-    assert got == (None if want is None else ring.pack(want))
-    # a quotient multiplied back is the monomial it came from
-    if want is not None:
-        assert got + ring.pack(lhs) == ring.pack(mono)
-
-
 def test_an_exponent_at_the_field_limit_overflows():
     ring = PolynomialRing(QQ, [Generator("z", 0), Generator("d", 2)])
     with pytest.raises(OverflowError):
@@ -323,9 +289,9 @@ def test_an_exponent_at_the_field_limit_overflows():
         ring.gen("d", FIELD_LIMIT // 2)
     top = ring.gen("z", FIELD_LIMIT - 1)
     assert ring.unpack(next(iter(top.terms))) == ((0, FIELD_LIMIT - 1),)
-    kill = QuotientPresentation([({"k": 2}, {})])
-    for scalars, relations in ((QQ, None), (GF2, None), (QQ, kill), (GF2, kill)):
-        r = PolynomialRing(scalars, [Generator("z", 0), Generator("d", 2), Generator("k", 1)], relations)
+    kill = (None, None, 2)
+    for scalars, orders in ((QQ, None), (GF2, None), (QQ, kill), (GF2, kill)):
+        r = PolynomialRing(scalars, [Generator("z", 0), Generator("d", 2), Generator("k", 1)], orders)
         with pytest.raises(OverflowError):
             r.gen("z", FIELD_LIMIT - 1) * r.gen("z")
         with pytest.raises(OverflowError):
@@ -344,7 +310,7 @@ def test_a_negative_generator_degree_is_rejected():
 )
 def test_kill_only_products_are_free_products_without_the_killed_monomials(scalars, degrees, heads):
     gens = [Generator(n, d) for n, d in degrees.items()]
-    quotient = PolynomialRing(scalars, gens, QuotientPresentation([(heads, {})]))
+    quotient = PolynomialRing(scalars, gens, [heads.get(g.name) for g in gens])
     free = PolynomialRing(scalars, gens)
     head = {free.index[n]: e for n, e in heads.items()}
 
@@ -375,8 +341,7 @@ def test_sums_and_scalings_match_the_make_route(which):
         ring = MUHomology(40).ring
         scalars = (0, 1)
     else:
-        pres = QuotientPresentation([({"v3": 2}, {})])
-        ring = PolynomialRing(QQ, [Generator("v3", 14), Generator("w", 2)], relations=pres)
+        ring = PolynomialRing(QQ, [Generator("v3", 14), Generator("w", 2)], orders=(2, None))
         scalars = (0, 1, -3, Fraction(5, 2))
     sc = ring.scalars
     rng = random.Random(31)
@@ -407,12 +372,10 @@ def test_the_limit_word_rejects_negative_or_misplaced_orders():
 @given(exponent_vectors, st.lists(st.none() | st.integers(0, 41), min_size=6, max_size=6), st.none() | st.integers(0, 400))
 def test_the_limit_word_kills_exactly_the_monomials_past_a_limit(vector, orders, degree_order):
     # orders and the degree order of a truncated series ring, together with
-    # the kill of g1^2 from the packing ring's presentation
-    ring = PolynomialRing(
-        GF2, packing_ring().generators, QuotientPresentation([({"g1": 2}, {})]), orders, degree_order
-    )
+    # the packing ring's order 2 of g1
     limits = list(orders)
     limits[1] = 2 if limits[1] is None else min(limits[1], 2)
+    ring = PolynomialRing(GF2, packing_ring().generators, limits, degree_order)
     degree = sum(d * e for d, e in zip(ring.degrees, vector))
     want = any(o is not None and e >= o for e, o in zip(vector, limits))
     want = want or (degree_order is not None and degree >= degree_order)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlforge.polynomial import QQ, Generator, PolynomialRing, QuotientPresentation
+from dlforge.polynomial import QQ, Generator, PolynomialRing
 from dlforge.series import TruncatedSeries, series_ring, signature
 
 
@@ -238,7 +238,7 @@ def test_series_outlive_an_evicted_series_ring():
 # Q[v3]/(v3^2).  It has its own truncation test and coefficient arithmetic,
 # so it shares no arithmetic with the packed kernel it checks.
 
-V3_RING = PolynomialRing(QQ, [Generator("v3", 14)], QuotientPresentation([({"v3": 2}, {})]))
+V3_RING = PolynomialRing(QQ, [Generator("v3", 14)], orders=(2,))
 NAMES = ("x", "y", "z")
 
 
@@ -436,3 +436,27 @@ def test_derivative_and_divide_exact_match_the_reference(sig, raw, i, k):
     got = series.divide_exact(var, k)
     assert got.sig == order_dropped_by(k)
     assert ref_of(got) == want
+
+
+# every order and the total order at least 1, so the constant term survives
+unit_signatures = st.builds(
+    lambda n, w, o, t: signature(NAMES[:n], o[:n], w[:n], t),
+    st.integers(1, len(NAMES)),
+    st.tuples(*(st.integers(0, 3) for _ in NAMES)),
+    st.tuples(*(st.integers(1, 5) for _ in NAMES)),
+    st.none() | st.integers(1, 10),
+)
+nonzero_scalars = scalars.filter(bool)
+
+
+@DIFFERENTIAL
+@given(unit_signatures, raw_terms, nonzero_scalars, nonzero_scalars)
+def test_invert_round_trips_over_the_v3_coefficients(sig, raw, a, b):
+    terms = reference_terms(sig, raw)
+    constant = (0,) * len(sig.variables)
+    one = TruncatedSeries.constant(sig, V3_RING, 1)
+    f = series_of(sig, {**terms, constant: {0: a, 1: b}})  # a + b v3 is a unit
+    assert f * f.invert() == one
+    # v3 alone is nilpotent, not a unit
+    with pytest.raises(ArithmeticError):
+        series_of(sig, {**terms, constant: {1: Fraction(1)}}).invert()

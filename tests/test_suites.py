@@ -95,6 +95,7 @@ def test_scrubbed_all_report_is_byte_stable():
     for config, want in (
         ({}, "e5ee6ccea1976761e1586b8dc46b20e013a5c7ed50262a1c0a6e7881b0a7c2aa"),
         ({"max_degree": 128}, "624e7c801dcae6d16d2788ae32c0abb3b1c0bb6ebdb914009a9c6ab2ff6b1e85"),
+        ({"max_degree": 256}, "994a109f8ca9293353aaa621e921c26296ca251ad18eb1695c9b2ab2f672f280"),
     ):
         text = emit_report(run_suite("all", {"scrub_timing": True, **config}))
         digest = hashlib.sha256(text.encode()).hexdigest()
