@@ -62,8 +62,9 @@ class LogarithmPreset:
             out = out + (t**e).scale(self.log_powers[e])
         return out
 
+    @lru_cache(maxsize=64)
     def exp_series(self, sig, var):
-        """Composition inverse of the log in the same variable."""
+        """Composition inverse of the log in the same variable (memoized)."""
         return self.log_series(sig, var).compositional_inverse(var)
 
     def log_derivative(self, sig, var):
@@ -158,8 +159,9 @@ def n_series(p, n, order=12, var="t", check=True):
     return series
 
 
+@lru_cache(maxsize=64)
 def bracket2_series(p, order=12, var="alpha"):
-    """The cofactor <2> with [2](t) = t <2>(t), as a series in ``var``."""
+    """The cofactor <2> with [2](t) = t <2>(t), as a series in ``var`` (memoized)."""
     two = n_series(p, 2, order + 1, var)
     return two.divide_exact(var, 1)
 

@@ -10,7 +10,6 @@ disagreement as a fatal implementation bug, not something to paper over.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 from .expressions import (
@@ -64,8 +63,6 @@ class DLModel(CartanExtension):
     """
 
     is_zero = staticmethod(GradedPolynomial.is_zero)
-    add = staticmethod(operator.add)
-    mul = staticmethod(operator.mul)
     degrees = staticmethod(GradedPolynomial.degrees_present)
 
     def __init__(self, name, ring, max_degree):
@@ -76,6 +73,7 @@ class DLModel(CartanExtension):
         self.one = ring.one()
         self._mono_cache = {}
         self._inverse = []
+        self.sum_products = ring.sum_products
 
     def generator_action(self, s, index):
         raise NotImplementedError
@@ -95,10 +93,7 @@ class DLModel(CartanExtension):
             raise ValueError(
                 "Q%d lands beyond the model's degree cap %d" % (s, self.max_degree)
             )
-        out = self.ring.zero()
-        for mono in element.terms:
-            out = out + self.apply_mono(s, self.ring.unpack(mono))
-        return out
+        return self.ring.sum(self.apply_mono(s, self.ring.unpack(mono)) for mono in element.terms)
 
     def _inverse_component(self, d):
         """Degree-d component of (1 + sum of the ring generators)^{-1}.
@@ -112,10 +107,8 @@ class DLModel(CartanExtension):
                 "degree %d is beyond the model's degree cap %d" % (d, self.max_degree)
             )
         if len(self._inverse) <= d:
-            total = self.ring.one()
-            for g in self.ring.generators:
-                if g.degree <= d:
-                    total = total + self.ring.gen(g.name)
+            gens = [self.ring.gen(g.name) for g in self.ring.generators if g.degree <= d]
+            total = self.ring.sum([self.ring.one()] + gens)
             self._inverse = graded_inverse(total, d, known=self._inverse)
         return self._inverse[d]
 
@@ -157,10 +150,7 @@ class DLModel(CartanExtension):
     def cartan_check(self, s, u, v):
         """Direct Q^s(uv) against the explicit Cartan convolution."""
         direct = self.q(s, u * v)
-        total = self.ring.zero()
-        for p in range(s + 1):
-            total = total + self.q(p, u) * self.q(s - p, v)
-        return direct == total
+        return direct == self.sum_products((self.q(p, u), self.q(s - p, v)) for p in range(s + 1))
 
     def __repr__(self):
         return "<%s up to degree %d>" % (self.name, self.max_degree)
@@ -197,10 +187,9 @@ class DualSteenrodAlgebra(DLModel):
         if i < 0:
             raise ValueError("conjugates are indexed from 0")
         if i not in self._antipodes:
-            total = self.ring.zero()
-            for j in range(i):
-                total = total + self.xi(i - j, 2**j) * self.antipode_xi(j)
-            self._antipodes[i] = total
+            self._antipodes[i] = self.sum_products(
+                (self.xi(i - j, 2**j), self.antipode_xi(j)) for j in range(i)
+            )
         return self._antipodes[i]
 
     def q_xi1(self, s):
@@ -249,9 +238,9 @@ class DualSteenrodAlgebra(DLModel):
                     raise ModelInconsistencyError("%s: %s" % (label, detail))
 
         for i in range(1, self.top_index + 1):
-            residual = self.ring.zero()
-            for j in range(i + 1):
-                residual = residual + self.xi(i - j, 2**j) * self.antipode_xi(j)
+            residual = self.sum_products(
+                (self.xi(i - j, 2**j), self.antipode_xi(j)) for j in range(i + 1)
+            )
             record("milnor-recursion-%d" % i, residual.is_zero(), str(residual))
         for i in range(1, self.top_index + 1):
             record(
@@ -318,12 +307,12 @@ class MUHomology(DLModel):
         return binomial_mod2(n - k + u - 1, u)
 
     def _numerator(self, k, degree_bound):
-        total = self.ring.zero()
-        for n in range(k, degree_bound // 2 - k + 1):
-            for u in range(0, k + 1):
-                if self._priddy_binom(n, k, u):
-                    total = total + self.b(n + u) * self.b(k - u)
-        return total
+        return self.ring.sum_products(
+            (self.b(n + u), self.b(k - u))
+            for n in range(k, degree_bound // 2 - k + 1)
+            for u in range(0, k + 1)
+            if self._priddy_binom(n, k, u)
+        )
 
     def generator_action(self, j, index):
         k = index + 1
@@ -331,11 +320,11 @@ class MUHomology(DLModel):
         if d > self.max_degree:
             raise ValueError("Q%d b%d lands beyond the degree cap" % (j, k))
         numerator = self._numerator(k, d)
-        out = self.ring.zero()
-        for low in numerator.degrees_present():
-            if low > d:
-                continue
-            out = out + numerator.homogeneous_component(low) * self._inverse_component(d - low)
+        out = self.ring.sum_products(
+            (numerator.homogeneous_component(low), self._inverse_component(d - low))
+            for low in numerator.degrees_present()
+            if low <= d
+        )
         value = out.homogeneous_component(d) if not out.is_zero() else out
         if d % 2 == 1 and not value.is_zero():
             raise ModelInconsistencyError(
@@ -395,9 +384,10 @@ def check_dl_compatibility(s_range, degree_range, source=None, target=None):
     target = target or dual_steenrod()
     failures = []
     for u in source.monomials_up_to(degree_range):
+        image = map_p(u, source, target)
         for s in range(0, s_range + 1):
             lhs = map_p(source.q(s, u), source, target)
-            rhs = target.q(s, map_p(u, source, target))
+            rhs = target.q(s, image)
             if lhs != rhs:
                 failures.append((s, u, lhs, rhs))
     return not failures, failures
@@ -446,10 +436,7 @@ def evaluate_in_model(expr, assignment, model, context=None):
                 out = out * walk(f)
             return out
         if isinstance(node, Sum):
-            out = model.ring.zero()
-            for t in node.terms:
-                out = out + walk(t)
-            return out
+            return model.ring.sum(walk(t) for t in node.terms)
         raise TypeError("not an expression node: %r" % (node,))
 
     return walk(expr)

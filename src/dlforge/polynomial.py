@@ -27,6 +27,10 @@ stay under their limits, so ``mono`` is killed exactly when
 the guard bits of the bounded fields.  That is one OR, one subtraction and
 one AND per product monomial.
 
+``PolynomialRing.sum`` (and ``sum_products``) adds many elements into one
+accumulator instead of copying a partial sum per term: over GF2 each
+monomial toggles in or out (XOR), over Q a coefficient that cancels is popped.
+
 Only ``PolynomialRing`` and the series rings of ``series`` know this
 layout; ``PolynomialRing.pack`` and ``PolynomialRing.unpack`` convert from
 and to sorted ``(generator_index, exponent)`` tuples.
@@ -37,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import mul, or_
 
 __all__ = [
     "FIELD_BITS",
@@ -242,6 +246,40 @@ class PolynomialRing:
     def zero(self):
         return GradedPolynomial(self, {})
 
+    def sum(self, elements):
+        """The sum of ``elements`` of this ring, accumulated in place.
+
+        No monomial of a sum of normal forms reaches a limit, so the sum is a
+        normal form without a pass through ``make``.
+        """
+        if self.scalars is GF2:
+            out = set()
+            for p in elements:
+                if p.ring is not self:
+                    raise ValueError("elements of different rings")
+                out.symmetric_difference_update(p.terms)
+            return GradedPolynomial(self, dict.fromkeys(out, 1))
+        out = {}
+        for p in elements:
+            if p.ring is not self:
+                raise ValueError("elements of different rings")
+            if not out:
+                out.update(p.terms)
+                continue
+            for m, c in p.terms.items():
+                s = out.get(m)
+                if s is not None:
+                    c += s
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return GradedPolynomial(self, out)
+
+    def sum_products(self, pairs):
+        """The sum of ``a * b`` over the ``(a, b)`` in ``pairs``."""
+        return self.sum(a * b for a, b in pairs)
+
     def one(self):
         return self.scalar(self.scalars.one)
 
@@ -308,18 +346,7 @@ class GradedPolynomial:
             raise ValueError("elements of different rings")
 
     def __add__(self, other):
-        self._check(other)
-        sc = self.ring.scalars
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = sc.add(out.get(m, sc.zero), c)
-            if s == sc.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        # no monomial of a sum of normal forms reaches a limit, so the sum is
-        # a normal form
-        return GradedPolynomial(self.ring, out)
+        return self.ring.sum((self, other))
 
     def __sub__(self, other):
         return self + other.scale(self.ring.scalars.neg(self.ring.scalars.one))
@@ -451,12 +478,12 @@ class GradedPolynomial:
             raise ZeroDivisionError("constant term %r is not a unit" % (c,))
         cinv = sc.inv(c)
         n = (self - self.ring.scalar(c)).scale(sc.neg(cinv))
-        acc = self.ring.one()
-        p = self.ring.one()
+        acc = self.ring.one() + n
+        p = n
         for _ in range(max_steps):
-            p = p * n
             if p.is_zero():
                 return acc.scale(cinv)
+            p = p * n
             acc = acc + p
         raise ArithmeticError("element is not unit + nilpotent: %s" % self)
 
@@ -467,24 +494,26 @@ class GradedPolynomial:
         element of ``target_ring``; scalars map along the identity.  A term
         with a factor that maps to zero is skipped before any product.
         """
-        out = target_ring.zero()
-        for mono, coeff in self.terms.items():
-            factors = []
-            for i, e in self.ring.unpack(mono):
-                name = self.ring.generators[i].name
-                if name not in images:
-                    raise KeyError("no image for generator %r" % name)
-                image = images[name]
-                if image.ring is not target_ring:
-                    raise ValueError("elements of different rings")
-                factors.append((image, e))
-            if any(image.is_zero() for image, _ in factors):
-                continue
-            term = target_ring.scalar(coeff)
-            for image, e in factors:
-                term = term * image ** e
-            out = out + term
-        return out
+        dead = 0  # the fields of the generators that map to zero
+        # the OR of all keys has a nonzero field for each generator that occurs
+        for i, _ in self.ring.unpack(reduce(or_, self.terms, 0)):
+            name = self.ring.generators[i].name
+            if name not in images:
+                raise KeyError("no image for generator %r" % name)
+            if images[name].ring is not target_ring:
+                raise ValueError("elements of different rings")
+            if images[name].is_zero():
+                dead |= _FIELD_MASK << FIELD_BITS * (i + 1)
+        return target_ring.sum(
+            self._term_image(target_ring, images, mono, coeff)
+            for mono, coeff in self.terms.items()
+            if not mono & dead
+        )
+
+    def _term_image(self, target_ring, images, mono, coeff):
+        factors = [images[self.ring.generators[i].name] ** e for i, e in self.ring.unpack(mono)]
+        term = reduce(mul, factors) if factors else target_ring.one()
+        return term if coeff == target_ring.scalars.one else term.scale(coeff)
 
     # -- display ------------------------------------------------------------
 
@@ -545,9 +574,8 @@ def graded_inverse(p, bound, known=None):
     comps = [p.homogeneous_component(d) for d in range(bound + 1)]
     inv = list(known[: bound + 1]) if known else [ring.scalar(c0inv)]
     for d in range(len(inv), bound + 1):
-        acc = ring.zero()
-        for i in range(1, d + 1):
-            if not comps[i].is_zero():
-                acc = acc + comps[i] * inv[d - i]
+        acc = ring.sum_products(
+            (comps[i], inv[d - i]) for i in range(1, d + 1) if not comps[i].is_zero()
+        )
         inv.append(acc.scale(sc.neg(c0inv)))
     return inv

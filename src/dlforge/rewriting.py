@@ -20,6 +20,7 @@ generator name).
 from __future__ import annotations
 
 import operator
+from functools import reduce
 
 from .expressions import (
     GenRef,
@@ -87,10 +88,11 @@ class CartanExtension:
     instability makes Q^i u vanish below i = |u|.  Values are memoized per
     (s, monomial) in ``_mono_cache``.
 
-    Subclasses supply the algebra (``zero``, ``one``, ``is_zero``, ``add``,
-    ``mul``, ``square`` and ``degrees``, the sorted degrees present in a
-    value), ``generator_degree`` and ``generator_action``: ``_Engine`` for
-    the free algebra on operation words, ``homology.DLModel`` for the models.
+    Subclasses supply the algebra (``zero``, ``one``, ``is_zero``,
+    ``sum_products`` of ``(left, right)`` pairs, ``square`` and ``degrees``,
+    the sorted degrees present in a value), ``generator_degree`` and
+    ``generator_action``: ``_Engine`` for the free algebra on operation
+    words, ``homology.DLModel`` for the models.
     """
 
     def mono_degree(self, mono):
@@ -114,14 +116,15 @@ class CartanExtension:
         else:
             g, e = mono[0]
             rest = tuple(m for m in ((g, e - 1),) + mono[1:] if m[1] > 0)
-            result = self.zero
+            pairs = []
             for i in range(self.generator_degree(g), s - self.mono_degree(rest) + 1):
                 left = self.apply_mono(i, ((g, 1),))
                 if self.is_zero(left):
                     continue
                 right = self.apply_mono(s - i, rest)
                 if not self.is_zero(right):
-                    result = self.add(result, self.mul(left, right))
+                    pairs.append((left, right))
+            result = self.sum_products(pairs)
         if __debug__ and not self.is_zero(result):
             assert self.degrees(result) == [s + self.mono_degree(mono)], "degree drift"
         self._mono_cache[key] = result
@@ -152,9 +155,8 @@ class _Engine(CartanExtension):
 
     # -- polynomial helpers (frozensets of monomials) --------------------------
 
-    @staticmethod
-    def add(p, q):
-        return p ^ q
+    def sum_products(self, pairs):
+        return reduce(operator.xor, (self.mul(p, q) for p, q in pairs), _ZERO)
 
     @staticmethod
     def mul_mono(m1, m2):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlforge import homology
 from dlforge.expressions import parse_context
 from dlforge.homology import (
     DualSteenrodAlgebra,
@@ -23,7 +24,7 @@ from dlforge.homology import (
 from dlforge.polynomial import GradedPolynomial
 from dlforge.relations import Y_DEFINITIONS, qbar, suspended_relation, y_context
 from dlforge.rewriting import adem_step, normalize
-from dlforge.suites import PRIDDY_VALUES, priddy_sides
+from dlforge.suites import PRIDDY_VALUES, priddy_sides, run_suite
 from dlforge.substitutions import suspend
 
 
@@ -264,7 +265,23 @@ def test_commute_sweep_does_a_pinned_number_of_products(monkeypatch):
     monkeypatch.setattr(GradedPolynomial, "__mul__", counted)
     ok, failures = check_dl_compatibility(24, 14, MUHomology(40), DualSteenrodAlgebra(40))
     assert ok, failures[:3]
-    assert len(calls) == 5744
+    assert len(calls) == 4474
+
+
+def test_commute_sweep_fails_on_a_wrong_image(monkeypatch):
+    # negative control: b3 sent to xi2^2 + xi1^6 instead of xi2^2
+    images = homology._p_images
+
+    def wrong_images(source, target):
+        out = dict(images(source, target))
+        out["b3"] = target.xi(2, 2) + target.xi(1, 6)
+        return out
+
+    monkeypatch.setattr(homology, "_p_images", wrong_images)
+    ok, failures = check_dl_compatibility(24, 14, MUHomology(40), DualSteenrodAlgebra(40))
+    assert not ok and failures
+    rows = {row["id"]: row for row in run_suite("model-compat", {"scrub_timing": True})["checks"]}
+    assert rows["01-commute-sweep"]["status"] == "fail"
 
 
 def test_map_p_spot_value_both_routes():

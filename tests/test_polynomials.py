@@ -4,6 +4,8 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,12 @@ from dlforge.polynomial import (
     GF2,
     QQ,
     Generator,
+    GradedPolynomial,
     PolynomialRing,
     binomial_mod2,
     graded_inverse,
 )
+from dlforge.series import series_ring, signature
 
 
 def small_ring():
@@ -247,6 +251,102 @@ def test_map_generators_rejects_images_in_another_ring():
     # also when the stray image is zero, so the term would be skipped
     with pytest.raises(ValueError):
         (x * source.gen("b")).map_generators(target, {"a": other.zero(), "b": target.gen("b")})
+
+
+def count_products(monkeypatch):
+    calls = []
+    product = GradedPolynomial.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return product(a, b)
+
+    monkeypatch.setattr(GradedPolynomial, "__mul__", counted)
+    return calls
+
+
+def test_map_generators_spends_no_product_on_a_term_that_maps_to_zero(monkeypatch):
+    source = small_ring()
+    target = small_ring()
+    a, b, c = (source.gen(n) for n in "abc")
+    dead = a * b + a * a * c  # every term has the factor a, which maps to zero
+    live = dead + b * c
+    images = {"a": target.zero(), "b": target.gen("b"), "c": target.gen("c")}
+    want = target.gen("b") * target.gen("c")
+    calls = count_products(monkeypatch)
+    assert dead.map_generators(target, images).is_zero()
+    assert calls == []
+    assert live.map_generators(target, images) == want
+    assert len(calls) == 1
+    del calls[:]
+    # the skipped terms still need an image in the target for every generator
+    with pytest.raises(KeyError):
+        dead.map_generators(target, {"a": target.zero(), "b": target.gen("b")})
+    with pytest.raises(ValueError):
+        dead.map_generators(target, dict(images, c=small_ring().gen("c")))
+    assert calls == []
+
+
+def sum_test_ring(which):
+    if which == "GF2 H_*MU":
+        return MUHomology(40).ring
+    if which == "GF2 with orders":
+        return PolynomialRing(GF2, [Generator("a", 1), Generator("b", 2), Generator("c", 3)], orders=(2, None, 3))
+    v3 = PolynomialRing(QQ, [Generator("v3", 14)], orders=(2,))
+    if which == "Q[v3]/(v3^2)":
+        return v3
+    return series_ring(v3, signature(("x", "y"), (4, 3), (1, 2), total_order=6))
+
+
+@st.composite
+def made_elements(draw, ring):
+    """An element built through ``make``, so neither ``+`` nor ``*`` shapes it."""
+    count = min(len(ring.generators), 4)
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 3), min_size=count, max_size=count),
+                st.integers(-3, 3),
+                st.integers(1, 3),
+            ),
+            max_size=5,
+        )
+    )
+    out = {}
+    for vector, num, den in terms:
+        mono = ring.pack((i, e) for i, e in enumerate(vector) if e)
+        c = ring.scalars.coerce(Fraction(num, den) if ring.scalars is QQ else num)
+        out[mono] = ring.scalars.add(out.get(mono, ring.scalars.zero), c)
+    return ring.make(out)
+
+
+@pytest.mark.parametrize("which", ["GF2 H_*MU", "GF2 with orders", "Q[v3]/(v3^2)", "series ring"])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data())
+def test_ring_sum_matches_a_fold_of_additions_and_products(which, data):
+    ring = sum_test_ring(which)
+    sc = ring.scalars
+    xs = data.draw(st.lists(made_elements(ring), max_size=6))
+    ys = [data.draw(made_elements(ring)) for _ in xs]
+    total = ring.sum(xs)
+    assert total == reduce(add, xs, ring.zero())
+    # an independent reference: every coefficient added up, then normalized
+    merged = {}
+    for x in xs:
+        for m, c in x.terms.items():
+            merged[m] = sc.add(merged.get(m, sc.zero), c)
+    assert total.terms == ring.make(merged).terms
+    assert ring.sum_products(zip(xs, ys)) == reduce(add, map(mul, xs, ys), ring.zero())
+    # full cancellation; over GF2 the negative of x is x itself
+    assert ring.sum(xs + [x.scale(-1) for x in reversed(xs)]).terms == {}
+    negated = [(x, y.scale(-1)) for x, y in zip(xs, ys)]
+    assert ring.sum_products(list(zip(xs, ys)) + negated).terms == {}
+    other = sum_test_ring(which)
+    assert other is not ring
+    with pytest.raises(ValueError):
+        ring.sum(xs + [other.one()])
+    with pytest.raises(ValueError):
+        ring.sum_products([(ring.one(), other.one())])
 
 
 def test_string_form_is_deterministic_and_sorted():
