@@ -145,14 +145,6 @@ class Sum:
     terms: tuple
 
 
-def q(s, arg):
-    return QOp(s, arg)
-
-
-def gen(name):
-    return GenRef(name)
-
-
 def prod(*factors):
     flat = []
     for f in factors:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomial import QQ, Generator, GradedPolynomial, PolynomialRing
+from .polynomial import QQ, Generator, PolynomialRing
 from .series import TruncatedSeries, signature
 
 __all__ = [

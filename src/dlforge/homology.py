@@ -306,26 +306,23 @@ class MUHomology(DLModel):
             return 1
         return binomial_mod2(n - k + u - 1, u)
 
-    def _numerator(self, k, degree_bound):
-        return self.ring.sum_products(
-            (self.b(n + u), self.b(k - u))
-            for n in range(k, degree_bound // 2 - k + 1)
-            for u in range(0, k + 1)
-            if self._priddy_binom(n, k, u)
-        )
-
     def generator_action(self, j, index):
         k = index + 1
         d = 2 * k + j
         if d > self.max_degree:
             raise ValueError("Q%d b%d lands beyond the degree cap" % (j, k))
-        numerator = self._numerator(k, d)
-        out = self.ring.sum_products(
-            (numerator.homogeneous_component(low), self._inverse_component(d - low))
-            for low in numerator.degrees_present()
-            if low <= d
-        )
-        value = out.homogeneous_component(d) if not out.is_zero() else out
+        ring, pack = self.ring, self.ring.pack
+        pairs = []
+        for n in range(k, d // 2 - k + 1):
+            # sum_u b_{n+u} b_{k-u} has degree 2(n + k); b_i is generator
+            # i - 1, b_0 = 1, and distinct u give distinct monomials
+            part = {
+                pack(((n + u - 1, 1), (k - u - 1, 1)) if u < k else ((n + k - 1, 1),)): 1
+                for u in range(k + 1)
+                if self._priddy_binom(n, k, u)
+            }
+            pairs.append((GradedPolynomial(ring, part), self._inverse_component(d - 2 * (n + k))))
+        value = ring.sum_products(pairs)
         if d % 2 == 1 and not value.is_zero():
             raise ModelInconsistencyError(
                 "odd-degree operation Q%d b%d is nonzero: %s" % (j, k, value)

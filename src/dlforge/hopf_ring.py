@@ -22,7 +22,6 @@ from math import factorial
 
 from .formal_groups import PowerOpResult, appendix_pipeline, preset
 from .polynomial import binomial_mod2
-from .series import TruncatedSeries
 
 __all__ = [
     "CoeffClass",

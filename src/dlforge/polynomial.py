@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import mul, or_
+from operator import or_
 
 __all__ = [
     "FIELD_BITS",
@@ -493,27 +493,35 @@ class GradedPolynomial:
         ``images`` maps each generator name appearing in ``self`` to an
         element of ``target_ring``; scalars map along the identity.  A term
         with a factor that maps to zero is skipped before any product.
+        Each power of an image is built once per call, from a smaller one,
+        and shared by every term that needs it.
         """
+        unpack = self.ring.unpack
         dead = 0  # the fields of the generators that map to zero
+        powers = {}  # (generator index, exponent) -> power of its image
         # the OR of all keys has a nonzero field for each generator that occurs
-        for i, _ in self.ring.unpack(reduce(or_, self.terms, 0)):
+        for i, _ in unpack(reduce(or_, self.terms, 0)):
             name = self.ring.generators[i].name
             if name not in images:
                 raise KeyError("no image for generator %r" % name)
-            if images[name].ring is not target_ring:
+            image = powers[i, 1] = images[name]
+            if image.ring is not target_ring:
                 raise ValueError("elements of different rings")
-            if images[name].is_zero():
+            if image.is_zero():
                 dead |= _FIELD_MASK << FIELD_BITS * (i + 1)
-        return target_ring.sum(
-            self._term_image(target_ring, images, mono, coeff)
-            for mono, coeff in self.terms.items()
-            if not mono & dead
-        )
-
-    def _term_image(self, target_ring, images, mono, coeff):
-        factors = [images[self.ring.generators[i].name] ** e for i, e in self.ring.unpack(mono)]
-        term = reduce(mul, factors) if factors else target_ring.one()
-        return term if coeff == target_ring.scalars.one else term.scale(coeff)
+        one = target_ring.scalars.one
+        terms = []
+        for mono, coeff in self.terms.items():
+            if mono & dead:
+                continue
+            term = None
+            for i, e in unpack(mono):
+                p = _power(powers, i, e)
+                term = p if term is None else term * p
+            if term is None:
+                term = target_ring.one()
+            terms.append(term if coeff == one else term.scale(coeff))
+        return target_ring.sum(terms)
 
     # -- display ------------------------------------------------------------
 
@@ -554,6 +562,24 @@ class GradedPolynomial:
 
     def __repr__(self):
         return "<%s>" % self
+
+
+def _power(powers, i, e):
+    """``powers[i, 1] ** e``, kept in ``powers`` under ``(i, e)``.
+
+    An odd power is one product with the power below it and an even one the
+    square of its half, so a power costs the products ``positive_power``
+    spends, less those of the smaller powers already kept.
+    """
+    p = powers.get((i, e))
+    if p is None:
+        if e & 1:
+            p = _power(powers, i, e - 1) * powers[i, 1]
+        else:
+            p = _power(powers, i, e >> 1)
+            p = p * p
+        powers[i, e] = p
+    return p
 
 
 def graded_inverse(p, bound, known=None):

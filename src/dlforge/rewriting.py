@@ -40,7 +40,6 @@ __all__ = [
     "adem_step",
     "normalize",
     "normalize_word",
-    "is_admissible",
     "verify_identity",
 ]
 
@@ -50,11 +49,6 @@ STEP_BUDGET = 1_000_000
 
 class RewriteBudgetExceeded(RuntimeError):
     pass
-
-
-def is_admissible(superscripts):
-    """Pairwise admissibility s_i <= 2 s_{i+1} of a superscript sequence."""
-    return all(a <= 2 * b for a, b in zip(superscripts, superscripts[1:]))
 
 
 def adem_step(r, s):

@@ -24,6 +24,9 @@ when no field reaches its limit, which the kernel tests with one OR, one
 subtraction and one AND.  So series products, sums and scalings are the
 kernel's; retruncating is a change of ring plus a filter on the new limit
 word; ``derivative`` and ``divide_exact`` subtract from the keys.
+Substitution is the kernel's ring map: ``substitute`` is one
+``map_generators`` call that sends each coefficient generator to itself and
+each variable to its image.
 ``TruncatedSeries.terms`` converts back to ``{exponent tuple: coefficient}``
 for display and for readers outside the arithmetic.
 """
@@ -227,13 +230,10 @@ class TruncatedSeries:
         """Multiply by a scalar or by an element of the coefficient ring."""
         if not isinstance(c, GradedPolynomial):
             return TruncatedSeries(self.sig, self.ring, self.poly.scale(c))
-        return self._times(_coefficient_keys(self.poly.ring, self.ring, c))
-
-    def _times(self, coefficient_terms):
-        """Multiply by the coefficient given as ``{coefficient key: scalar}``."""
+        sring = self.poly.ring
+        coefficient_terms = _coefficient_keys(sring, self.ring, c)
         if coefficient_terms.keys() == {0}:
             return TruncatedSeries(self.sig, self.ring, self.poly.scale(coefficient_terms[0]))
-        sring = self.poly.ring
         return TruncatedSeries(self.sig, self.ring, self.poly * sring.make(coefficient_terms))
 
     def __pow__(self, n):
@@ -328,28 +328,11 @@ class TruncatedSeries:
                 raise ValueError("substitution images must share a signature")
         if target.ring is not self.ring:
             raise ValueError("series over different coefficient rings")
-        sig, ring = target.sig, target.ring
-        powers = [[img] for img in imgs]  # powers[i][e - 1] is imgs[i] ** e
-
-        def power(i, e):
-            cache = powers[i]
-            while len(cache) < e:
-                cache.append(cache[-1] * imgs[i])
-            return cache[e - 1]
-
-        acc = TruncatedSeries.zero(sig, ring)
-        for key, coeffs in self._by_exponents().items():
-            term = None
-            for i in range(len(imgs)):
-                e = self._exponent(key, i)
-                if e:
-                    term = power(i, e) if term is None else term * power(i, e)
-            if term is None:
-                # coefficient keys are the same in the target's series ring
-                acc = acc + TruncatedSeries(sig, ring, acc.poly.ring.make(coeffs))
-            else:
-                acc = acc + term._times(coeffs)
-        return acc
+        sring = series_ring(target.ring, target.sig)
+        # the coefficient generators map to themselves
+        gens = {g.name: sring.gen(g.name) for g in self.ring.generators}
+        gens.update((v, _rehome(img.poly, sring)) for v, img in zip(self.sig.variables, imgs))
+        return TruncatedSeries(target.sig, target.ring, self.poly.map_generators(sring, gens))
 
     def identity_images(self):
         """The {var: var-as-series} mapping for this signature."""

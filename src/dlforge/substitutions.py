@@ -133,11 +133,6 @@ class SubstitutionMap:
             for g in self.source.order
         )
 
-    @classmethod
-    def identity(cls, context):
-        images = {g: GenRef(g) for g in context.order}
-        return cls(context, context, images, name="id")
-
     def __repr__(self):
         parts = []
         for g in self.source.order:

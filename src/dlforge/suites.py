@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from fractions import Fraction
 
 from .expressions import format_expression, parse_expression
 from .formal_groups import (
@@ -31,7 +30,6 @@ from .homology import (
     check_dl_compatibility,
 )
 from .hopf_ring import (
-    CoeffClass,
     RW_MAIN_RELATION,
     STABILITY_RULE,
     TRANSLATION_RULE,
@@ -45,7 +43,6 @@ from .relations import (
     MU_R_SYMBOLIC,
     QBAR_NU_SYMBOLIC,
     RELATION_TERMS,
-    SIGMA_R_IMAGE,
     Y_DEFINITIONS,
     alpha,
     beta,
@@ -783,8 +780,6 @@ def run_suite(name, config=None):
 def _config_value(v):
     if isinstance(v, (bool, int, str)):
         return v
-    if isinstance(v, Fraction):
-        return str(v)
     return str(v)
 
 

@@ -225,13 +225,14 @@ def test_pipeline_does_a_pinned_number_of_series_products(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
     clear_memos()
     assert all(ok for _, ok in appendix_pipeline(2).checks)
-    assert len(calls) == 228
+    assert len(calls) == 39
 
 
 def test_pipeline_does_a_pinned_number_of_kernel_products(monkeypatch):
-    # each of the 228 series products is one kernel product; the rest scale
-    # by non-constant coefficients, invert series in their series ring, or
-    # multiply in the coefficient ring
+    # each of the 39 series products is one kernel product; the rest
+    # substitute series (one product per image power and per term factor),
+    # scale by non-constant coefficients, invert series in their series ring,
+    # or multiply in the coefficient ring
     calls = []
     mul = GradedPolynomial.__mul__
 
@@ -242,4 +243,4 @@ def test_pipeline_does_a_pinned_number_of_kernel_products(monkeypatch):
     monkeypatch.setattr(GradedPolynomial, "__mul__", counted)
     clear_memos()
     assert all(ok for _, ok in appendix_pipeline(2).checks)
-    assert len(calls) == 278
+    assert len(calls) == 212

@@ -265,7 +265,7 @@ def test_commute_sweep_does_a_pinned_number_of_products(monkeypatch):
     monkeypatch.setattr(GradedPolynomial, "__mul__", counted)
     ok, failures = check_dl_compatibility(24, 14, MUHomology(40), DualSteenrodAlgebra(40))
     assert ok, failures[:3]
-    assert len(calls) == 4474
+    assert len(calls) == 2827
 
 
 def test_commute_sweep_fails_on_a_wrong_image(monkeypatch):

@@ -287,6 +287,24 @@ def test_map_generators_spends_no_product_on_a_term_that_maps_to_zero(monkeypatc
     assert calls == []
 
 
+def test_map_generators_builds_each_image_power_once(monkeypatch):
+    source = small_ring()
+    target = PolynomialRing(GF2, [Generator(n, d) for n, d in (("a", 1), ("b", 2), ("c", 1), ("d", 1))])
+    a4, a2b = source.gen("a", 4), source.monomial({"a": 2, "b": 1})
+    x = a4 + a4 * source.gen("b") + a2b
+    images = {"a": target.gen("c") + target.gen("d"), "b": target.gen("b")}
+    # (c + d)^2 = c^2 + d^2 over GF2
+    m = target.monomial
+    want = target.sum(
+        m({"c": e, "b": f}) + m({"d": e, "b": f}) for e, f in ((4, 0), (4, 1), (2, 1))
+    )
+    calls = count_products(monkeypatch)
+    assert x.map_generators(target, images) == want
+    # (c + d)^2 and its square (c + d)^4, kept for all three terms, then one
+    # product with b for each of the two terms that have it
+    assert len(calls) == 4
+
+
 def sum_test_ring(which):
     if which == "GF2 H_*MU":
         return MUHomology(40).ring
