@@ -42,7 +42,6 @@ from .homology import (
     check_dl_compatibility,
     dual_steenrod,
     evaluate_in_model,
-    get_model,
     indecomposable_dimension,
     indeterminacy_scan,
     map_p,
@@ -72,8 +71,7 @@ from .hopf_ring import (
     import_pseries,
     qhat_b1,
     qhat_on_hurewicz,
-    quotient_normal_form,
     suspend_to_dual,
     verify_gotcha_chain,
 )
-from .suites import SUITE_NAMES, SuiteError, build_suite, emit_report, run_suite, xi5_chain
+from .suites import SUITE_NAMES, SuiteError, build_suite, emit_report, run_suite

@@ -70,6 +70,8 @@ class GeneratorContext:
             if name in self.degrees:
                 raise ValueError("duplicate generator %r" % name)
             _check_gen_name(name)
+            if deg < 0:
+                raise ValueError("generator %r has negative degree %d" % (name, deg))
             self.degrees[name] = deg
             self.order.append(name)
         self.base = frozenset(base)
@@ -87,9 +89,6 @@ class GeneratorContext:
 
     def is_base(self, name):
         return name in self.base
-
-    def names(self):
-        return tuple(self.order)
 
     def fingerprint(self):
         """Content identity: two contexts with equal fingerprints are

@@ -23,7 +23,6 @@ from .series import TruncatedSeries, signature
 __all__ = [
     "LogarithmPreset",
     "preset",
-    "register_preset",
     "fgl_from_log",
     "n_series",
     "bracket2_series",
@@ -82,12 +81,25 @@ class LogarithmPreset:
         return "<preset %s>" % self.name
 
 
-_PRESETS = {}
-
-
-def register_preset(p):
-    _PRESETS[p.name] = p
-    return p
+_ADDITIVE = PolynomialRing(QQ, [])
+_APPENDIX = PolynomialRing(QQ, [Generator("v3", 14)], orders=(2,))
+_PRESETS = {
+    p.name: p
+    for p in (
+        LogarithmPreset(
+            "additive",
+            _ADDITIVE,
+            {1: _ADDITIVE.one()},
+            "the additive law over the integers; an independent cross-check",
+        ),
+        LogarithmPreset(
+            "appendix-z-v3",
+            _APPENDIX,
+            {1: _APPENDIX.one(), 8: _APPENDIX.gen("v3").scale(Fraction(1, 2))},
+            "Z[v3]/(v3^2) with logarithm x + (v3/2) x^8",
+        ),
+    )
+}
 
 
 def preset(name):
@@ -95,30 +107,6 @@ def preset(name):
         return _PRESETS[name]
     except KeyError:
         raise KeyError("unknown formal group preset %r" % name) from None
-
-
-def _build_presets():
-    additive = PolynomialRing(QQ, [])
-    register_preset(
-        LogarithmPreset(
-            "additive",
-            additive,
-            {1: additive.one()},
-            "the additive law over the integers; an independent cross-check",
-        )
-    )
-    ring = PolynomialRing(QQ, [Generator("v3", 14)], orders=(2,))
-    register_preset(
-        LogarithmPreset(
-            "appendix-z-v3",
-            ring,
-            {1: ring.one(), 8: ring.gen("v3").scale(Fraction(1, 2))},
-            "Z[v3]/(v3^2) with logarithm x + (v3/2) x^8",
-        )
-    )
-
-
-_build_presets()
 
 
 def fgl_from_log(p, x_order=12, y_order=12, check=True):

@@ -43,7 +43,6 @@ __all__ = [
     "evaluate_in_model",
     "indeterminacy_scan",
     "indecomposable_dimension",
-    "get_model",
 ]
 
 
@@ -86,10 +85,10 @@ class DLModel(CartanExtension):
         return p * p
 
     def q(self, s, element):
-        """Q^s extended to an arbitrary element."""
+        """Q^s extended to an arbitrary element, homogeneous or not."""
         if s < 0:
             raise ValueError("operations have non-negative superscripts")
-        if not element.is_zero() and s + element.degree() > self.max_degree:
+        if not element.is_zero() and s + element.degrees_present()[-1] > self.max_degree:
             raise ValueError(
                 "Q%d lands beyond the model's degree cap %d" % (s, self.max_degree)
             )
@@ -338,14 +337,6 @@ def dual_steenrod(max_degree=40):
 @lru_cache(maxsize=None)
 def mu_homology(max_degree=40):
     return MUHomology(max_degree)
-
-
-def get_model(name, max_degree=40):
-    if name == "dual-steenrod":
-        return dual_steenrod(max_degree)
-    if name == "h-mu":
-        return mu_homology(max_degree)
-    raise KeyError("unknown model %r" % name)
 
 
 def map_p(element, source=None, target=None):

@@ -38,7 +38,6 @@ __all__ = [
     "STABILITY_RULE",
     "RW_MAIN_RELATION",
     "ImportedRule",
-    "quotient_normal_form",
 ]
 
 
@@ -49,7 +48,8 @@ class IdentificationError(KeyError):
 @dataclass(frozen=True)
 class CoeffClass:
     """A coefficient symbol: zero, the unit, or a generator x_n mod
-    decomposables.  Positive-degree products vanish by fiat."""
+    decomposables.  A product of positive-degree symbols is decomposable,
+    so ``import_pseries`` drops it."""
 
     kind: str
     n: int = 0
@@ -77,15 +77,6 @@ class CoeffClass:
     def is_zero(self):
         return self.kind == "zero"
 
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return CoeffClass.zero()
-        if self.kind == "one":
-            return other
-        if other.kind == "one":
-            return self
-        return CoeffClass.zero()  # positive times positive is decomposable
-
     def __str__(self):
         if self.kind == "zero":
             return "0"
@@ -112,9 +103,6 @@ class HopfClass:
             raise ValueError("b1 exponents are nonnegative")
         return cls(((coeff, m),))
 
-    def __add__(self, other):
-        return HopfClass(self.parts ^ other.parts)
-
     def __eq__(self, other):
         return isinstance(other, HopfClass) and self.parts == other.parts
 
@@ -123,9 +111,6 @@ class HopfClass:
 
     def is_zero(self):
         return not self.parts
-
-    def degrees(self):
-        return sorted({c.degree + 2 * m for c, m in self.parts})
 
     def __str__(self):
         if not self.parts:
@@ -170,23 +155,6 @@ class PSeries:
 
     def coefficient(self, i):
         return self.coefficients.get(i, CoeffClass.zero())
-
-    def __add__(self, other):
-        if (self.source_name, self.source_degree) != (other.source_name, other.source_degree):
-            raise ValueError("cannot add expansions of different sources")
-        out = {}
-        for i in set(self.coefficients) | set(other.coefficients):
-            a, b = self.coefficient(i), other.coefficient(i)
-            out[i] = CoeffClass.zero() if a == b else (b if a.is_zero() else a)
-        return PSeries(self.source_name, self.source_degree, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PSeries)
-            and self.source_name == other.source_name
-            and self.source_degree == other.source_degree
-            and self.coefficients == other.coefficients
-        )
 
     def __str__(self):
         if not self.coefficients:
@@ -234,7 +202,7 @@ def import_pseries(result, identification=None, source_name=None):
     ``CoeffClass`` symbols; a surviving generator without an image is an
     ``IdentificationError``.  Monomials with two or more positive-degree
     factors (or proper powers) drop as decomposables, and even scalars
-    drop mod 2.
+    drop mod 2; a non-integral scalar is an ``ArithmeticError``.
     """
     if isinstance(result, PowerOpResult):
         series = result.reduced
@@ -250,7 +218,11 @@ def import_pseries(result, identification=None, source_name=None):
         (i,) = vec
         total = CoeffClass.zero()
         for mono, scalar in poly.terms.items():
-            if int(scalar) % 2 == 0:
+            if scalar.denominator != 1:
+                raise ArithmeticError(
+                    "cannot reduce a non-integral coefficient: %s alpha^%d" % (scalar, i)
+                )
+            if scalar.numerator % 2 == 0:
                 continue
             pairs = ring.unpack(mono)
             if len(pairs) == 0:
@@ -350,22 +322,6 @@ RW_MAIN_RELATION = ImportedRule(
     " coefficients a_ij",
     check=_rw_additive_check,
 )
-
-
-def quotient_normal_form(atoms):
-    """Normal form of a product of symbols under the quotient rules.
-
-    ``atoms`` is a sequence of symbol names: "1", "x<n>", or "b<i>".  The
-    rules are: any b_i with i >= 2 kills the product; two positive-degree
-    coefficient symbols kill the product.  Every applicable rule zeroes the
-    whole product, so the order in which rules apply cannot change the answer.
-    """
-    live = [a for a in atoms if a != "1"]
-    if any(a.startswith("b") and int(a[1:]) >= 2 for a in live):
-        return "0"
-    if sum(1 for a in live if a.startswith("x")) >= 2:
-        return "0"
-    return " ".join(sorted(live)) if live else "1"
 
 
 def verify_gotcha_chain(k=5, identify=True, p=None):

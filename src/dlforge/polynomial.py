@@ -52,7 +52,6 @@ __all__ = [
     "PolynomialRing",
     "GradedPolynomial",
     "binomial_mod2",
-    "positive_power",
 ]
 
 
@@ -310,25 +309,6 @@ class PolynomialRing:
         )
 
 
-def positive_power(x, n):
-    """x ** n for n >= 1 by repeated squaring.
-
-    The product starts from the lowest factor rather than from 1, and no
-    square is taken after the last one it uses.
-    """
-    while not n & 1:
-        x = x * x
-        n >>= 1
-    acc = x
-    n >>= 1
-    while n:
-        x = x * x
-        if n & 1:
-            acc = acc * x
-        n >>= 1
-    return acc
-
-
 class GradedPolynomial:
     """An element of a ``PolynomialRing``.  Treat as immutable."""
 
@@ -397,7 +377,7 @@ class GradedPolynomial:
             raise ValueError("negative power")
         if n == 0:
             return self.ring.one()
-        return positive_power(self, n)
+        return _power({(0, 1): self}, 0, n)
 
     def scale(self, c):
         sc = self.ring.scalars
@@ -458,11 +438,6 @@ class GradedPolynomial:
     def is_integral(self):
         sc = self.ring.scalars
         return all(sc.is_integral(c) for c in self.terms.values())
-
-    def assert_integral(self, what="value"):
-        if not self.is_integral():
-            raise ArithmeticError("%s left the integral lattice: %s" % (what, self))
-        return self
 
     def inverse(self, max_steps=64):
         """Inverse of unit-scalar + nilpotent elements.
@@ -565,11 +540,12 @@ class GradedPolynomial:
 
 
 def _power(powers, i, e):
-    """``powers[i, 1] ** e``, kept in ``powers`` under ``(i, e)``.
+    """``powers[i, 1] ** e`` for e >= 1, kept in ``powers`` under ``(i, e)``.
 
-    An odd power is one product with the power below it and an even one the
-    square of its half, so a power costs the products ``positive_power``
-    spends, less those of the smaller powers already kept.
+    Binary powering: an odd power is one product with the power below it and
+    an even one the square of its half, so a fresh power costs
+    floor(log2 e) + popcount(e) - 1 products, less those of the smaller
+    powers already kept.  Any type with ``*`` works.
     """
     p = powers.get((i, e))
     if p is None:

@@ -267,11 +267,7 @@ class DLPolynomial:
     def __mul__(self, other):
         self._check(other)
         eng = _Engine(self.context)
-        acc = set()
-        for m in self.monomials:
-            for n in other.monomials:
-                acc ^= {eng.mul_mono(m, n)}
-        return DLPolynomial(self.context, acc)
+        return DLPolynomial(self.context, eng.mul(self.monomials, other.monomials))
 
     def _check(self, other):
         if (
@@ -282,9 +278,6 @@ class DLPolynomial:
 
     def is_zero(self):
         return not self.monomials
-
-    def degrees(self):
-        return _Engine(self.context).degrees(self.monomials)
 
     # -- canonical form ------------------------------------------------------
 

@@ -41,7 +41,7 @@ from .polynomial import (
     Generator,
     GradedPolynomial,
     PolynomialRing,
-    positive_power,
+    _power,
 )
 
 __all__ = ["SeriesSignature", "TruncatedSeries", "series_ring", "signature"]
@@ -241,7 +241,7 @@ class TruncatedSeries:
             raise ValueError("negative power")
         if n == 0:
             return TruncatedSeries.constant(self.sig, self.ring, self.ring.one())
-        return positive_power(self, n)
+        return _power({(0, 1): self}, 0, n)
 
     def __eq__(self, other):
         # keys carry the weighted degree, so series of other weights differ

@@ -11,8 +11,10 @@ and are bit-stable except for the elapsed-milliseconds fields (which the
 from __future__ import annotations
 
 import json
+import re
 import time
 
+from . import __version__
 from .expressions import format_expression, parse_expression
 from .formal_groups import (
     appendix_pipeline,
@@ -62,8 +64,6 @@ from .relations import (
 from .rewriting import normalize, verify_identity
 from .expressions import en_level_witness, min_en_level
 from .substitutions import compose_maps, suspend
-
-__version__ = "0.1.0"
 
 SUITE_NAMES = (
     "big-relation",
@@ -152,8 +152,9 @@ def _suite_en_level(config):
     ]
 
 
-# The Priddy value table and four identities derived from it, checked by
-# evaluating both sides of each statement in H_*MU.
+# The paper's action tables and identities derived from them, each checked
+# by evaluating both sides of the statement in a model: Priddy's in H_*MU,
+# Steinberger's in the dual Steenrod algebra.
 PRIDDY_VALUES = (
     "Q2 b1 = b1^2",
     "Q4 b1 = b3 + b1 b2 + b1^3",
@@ -169,24 +170,52 @@ PRIDDY_IDENTITIES = (
     "Q6 b2 = Q8 b1 + b1^2 Q4 b1",
     "Q10 b2 + b1^2 Q6 b2 = 0",
 )
+STEINBERGER_VALUES = (
+    "Q2 xibar1 = xibar2",
+    "Q3 xibar1 = xibar1^4",
+    "Q4 xibar1 = xibar1^2 xibar2",
+    "Q5 xibar1 = xibar2^2",
+    "Q16 xibar4 = xibar5",
+)
+STEINBERGER_IDENTITIES = (
+    "Q6 xi1^2 + xi1^8 = 0",
+    "Q8 xi1^2 + xi1^4 Q4 xi1^2 = 0",
+    "Q10 xi1^2 + (Q4 xi1^2)^2 = 0",
+)
+
+_ELEMENT_NAME = re.compile(r"\b((b|xi|xibar)(\d+))\b")
+_ELEMENT_METHODS = {"b": "b", "xi": "xi", "xibar": "antipode_xi"}
 
 
-def priddy_sides(M, statement):
-    """Both sides of a Priddy-table statement, evaluated in ``M``."""
-    b = {"b%d" % k: M.b(k) for k in range(1, 6)}
-    return tuple(
-        M.ring.zero() if side == "0" else evaluate_in_model(side, b, M)
-        for side in statement.split(" = ")
-    )
+def statement_sides(model, statement):
+    """Both sides of a table statement, evaluated in ``model``.
+
+    A name ``b<k>``, ``xi<i>`` or ``xibar<i>`` stands for that element of the
+    model.  Each is built when a side first uses it, so a side fails on its
+    own operation before the next side asks for an element beyond the cap.
+    """
+    named = {}
+    sides = []
+    for side in statement.split(" = "):
+        for name, kind, index in _ELEMENT_NAME.findall(side):
+            if name not in named:
+                named[name] = getattr(model, _ELEMENT_METHODS[kind])(int(index))
+        sides.append(model.ring.zero() if side == "0" else evaluate_in_model(side, named, model))
+    return tuple(sides)
+
+
+def _statement_checks(model, values, identities, start=1, value_note=""):
+    """One check per table statement: its two sides agree in ``model``."""
+    rows = [("value", st, value_note) for st in values] + [("identity", st, "") for st in identities]
+    return [
+        _check("%02d-%s" % (index, kind), st + note, lambda st=st: _eq(*statement_sides(model, st)))
+        for index, (kind, st, note) in enumerate(rows, start=start)
+    ]
 
 
 def _suite_priddy(config):
     M = mu_homology(config.get("max_degree", 40))
-    rows = [("value", st) for st in PRIDDY_VALUES] + [("identity", st) for st in PRIDDY_IDENTITIES]
-    return [
-        _check("%02d-%s" % (index, kind), st, lambda st=st: _eq(*priddy_sides(M, st)))
-        for index, (kind, st) in enumerate(rows, start=1)
-    ]
+    return _statement_checks(M, PRIDDY_VALUES, PRIDDY_IDENTITIES)
 
 
 def _suite_steinberger(config):
@@ -206,58 +235,31 @@ def _suite_steinberger(config):
             return False, "nonzero in degrees %s" % bad
         return True, "product is 1 through degree 32"
 
-    bar = A.antipode_xi
-    values = [
-        ("Q2 xibar1 = xibar2", 2, 1, lambda: bar(2)),
-        ("Q3 xibar1 = xibar1^4", 3, 1, lambda: bar(1) ** 4),
-        ("Q4 xibar1 = xibar1^2 xibar2", 4, 1, lambda: bar(1) ** 2 * bar(2)),
-        ("Q5 xibar1 = xibar2^2", 5, 1, lambda: bar(2) ** 2),
-        ("Q16 xibar4 = xibar5", 16, 4, lambda: bar(5)),
-    ]
-    checks = [
-        _check(
-            "01-generating-function",
-            "the total conjugate series inverts the total generator series degreewise",
-            generating_function,
-        )
-    ]
-    for index, (statement, s, i, want) in enumerate(values, start=2):
-        checks.append(
-            _check(
-                "%02d-value" % index,
-                statement + " (full Cartan route through the antipode expansion)",
-                lambda s=s, i=i, want=want: _eq(A.q_conjugate(s, i), want()),
-            )
-        )
-    sq = A.xi(1) * A.xi(1)
-    identities = [
-        ("Q6 xi1^2 + xi1^8 = 0", lambda: _zero_check(A.q(6, sq) + A.xi(1, 8))),
-        (
-            "Q8 xi1^2 + xi1^4 Q4 xi1^2 = 0",
-            lambda: _zero_check(A.q(8, sq) + A.xi(1, 4) * A.q(4, sq)),
-        ),
-        (
-            "Q10 xi1^2 + (Q4 xi1^2)^2 = 0",
-            lambda: _zero_check(A.q(10, sq) + A.q(4, sq) * A.q(4, sq)),
-        ),
-    ]
-    for index, (statement, run) in enumerate(identities, start=7):
-        checks.append(_check("%02d-identity" % index, statement, run))
-
     def self_check():
         checked, failures = A.self_check(strict=False)
         if failures:
             return False, "; ".join("%s: %s" % f for f in failures[:3])
         return True, "%d cross-route comparisons agree" % len(checked)
 
-    checks.append(
+    return [
+        _check(
+            "01-generating-function",
+            "the total conjugate series inverts the total generator series degreewise",
+            generating_function,
+        ),
+        *_statement_checks(
+            A,
+            STEINBERGER_VALUES,
+            STEINBERGER_IDENTITIES,
+            start=2,
+            value_note=" (full Cartan route through the antipode expansion)",
+        ),
         _check(
             "10-self-check",
             "all overlapping defining routes for the action agree",
             self_check,
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 def _suite_model_compat(config):
@@ -344,7 +346,7 @@ def _suite_firstjuggle(config):
     M = mu_homology(config.get("max_degree", 40))
 
     def defining_vanishing():
-        return _zero_check(M.q(10, M.b(2)) + M.b(1) ** 2 * M.q(6, M.b(2)))
+        return _eq(*statement_sides(M, PRIDDY_IDENTITIES[3]))
 
     def p_kills_b2():
         return _zero_check(map_p(M.b(2), M, A))
@@ -381,7 +383,7 @@ def _suite_firstjuggle(config):
     return [
         _check(
             "01-defining-vanishing",
-            "Q10 b2 + b1^2 Q6 b2 = 0, the identity that makes the square commute",
+            PRIDDY_IDENTITIES[3] + ", the identity that makes the square commute",
             defining_vanishing,
         ),
         _check("02-p-kills-b2", "the squaring map kills b2", p_kills_b2),
@@ -618,15 +620,15 @@ def _suite_xi5_chain(config):
             value = evaluate_in_model(expr, assign, A, y_context())
             if not value.is_zero():
                 return False, "%s nonzero at xi1^2" % name
-        twisted = M.q(6, M.b(2)) + M.q(8, M.b(1)) + M.b(1) ** 2 * M.q(4, M.b(1))
-        if not twisted.is_zero():
-            return False, "twisted square mismatch: %s" % twisted
-        return True, "classes vanish at xi1^2 and Q6 b2 = Q8 b1 + b1^2 Q4 b1"
+        lhs, rhs = statement_sides(M, PRIDDY_IDENTITIES[2])
+        if lhs != rhs:
+            return False, "twisted square mismatch: %s vs %s" % (lhs, rhs)
+        return True, "classes vanish at xi1^2 and " + PRIDDY_IDENTITIES[2]
 
     def step3():
-        lhs = A.q_conjugate(16, 4)
-        if lhs != A.antipode_xi(5):
-            return False, "Q16 xibar4 != xibar5"
+        lhs, rhs = statement_sides(A, STEINBERGER_VALUES[4])
+        if lhs != rhs:
+            return False, "expected %s, got %s" % (rhs, lhs)
         mod_dec = A.q(16, A.xi(4)).indecomposable_part()
         return _eq(mod_dec, A.xi(5))
 
@@ -662,7 +664,7 @@ def _suite_xi5_chain(config):
         ),
         _check(
             "03-conjugate-ladder",
-            "Q16 xibar4 = xibar5, so Q16 xi4 = xi5 mod decomposables",
+            STEINBERGER_VALUES[4] + ", so Q16 xi4 = xi5 mod decomposables",
             step3,
         ),
         _check(
@@ -732,11 +734,6 @@ def build_suite(name, config=None):
     if config.get("inject_fault"):
         checks = checks + [_injected_fault_check()]
     return checks
-
-
-def xi5_chain(config=None):
-    """The five-step gluing suite as a report (shorthand for run_suite)."""
-    return run_suite("xi5-chain", config)
 
 
 def _execute(check):

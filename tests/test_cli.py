@@ -166,6 +166,15 @@ def test_normalize_rejects_unknown_generator(tmp_path):
     assert proc.stderr == "error: unknown generator 'w'\n"
 
 
+def test_negative_generator_degree_is_a_usage_error(tmp_path):
+    context = tmp_path / "ctx.txt"
+    context.write_text("gen x deg -2\n")
+    proc = run_cli("normalize", "--context", str(context), "--expr", "Q5 Q1 x")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: generator 'x' has negative degree -2\n"
+
+
 def test_en_level_subcommand(tmp_path):
     context = tmp_path / "ctx.txt"
     context.write_text("gen x deg 2\n")

@@ -15,7 +15,6 @@ from dlforge.homology import (
     check_dl_compatibility,
     dual_steenrod,
     evaluate_in_model,
-    get_model,
     indecomposable_dimension,
     indeterminacy_scan,
     map_p,
@@ -24,7 +23,7 @@ from dlforge.homology import (
 from dlforge.polynomial import GradedPolynomial
 from dlforge.relations import Y_DEFINITIONS, qbar, suspended_relation, y_context
 from dlforge.rewriting import adem_step, normalize
-from dlforge.suites import PRIDDY_VALUES, priddy_sides, run_suite
+from dlforge.suites import PRIDDY_VALUES, run_suite, statement_sides
 from dlforge.substitutions import suspend
 
 
@@ -295,13 +294,6 @@ def test_map_p_spot_value_both_routes():
     assert A.q_xi1(2) ** 2 == want
 
 
-def test_get_model_names():
-    assert get_model("dual-steenrod").name == "dual-steenrod"
-    assert get_model("h-mu").name == "h-mu"
-    with pytest.raises(KeyError):
-        get_model("nope")
-
-
 # -- evaluation of symbolic expressions ----------------------------------------
 
 
@@ -345,13 +337,20 @@ def words_on_x(draw, max_degree):
 
 @st.composite
 def oracle_expressions(draw, max_degree=40):
-    """A word on x, or Q^s of a product of two words, of degree <= max_degree."""
-    if draw(st.booleans()):
+    """A word on x, or Q^s of a product of two words, or Q^s of a sum of two
+    words of different degrees, of degree <= max_degree."""
+    kind = draw(st.sampled_from(("word", "product", "sum")))
+    if kind == "word":
         return draw(words_on_x(max_degree))[0]
-    u, du = draw(words_on_x(max_degree // 4))
-    v, dv = draw(words_on_x(max_degree // 4))
-    s = draw(st.integers(du + dv - 1, max_degree - du - dv))
-    return "Q%d (%s %s)" % (s, u, v)
+    if kind == "product":
+        u, du = draw(words_on_x(max_degree // 4))
+        v, dv = draw(words_on_x(max_degree // 4))
+        s = draw(st.integers(du + dv - 1, max_degree - du - dv))
+        return "Q%d (%s %s)" % (s, u, v)
+    u, du = draw(words_on_x(max_degree // 2))
+    v, dv = draw(words_on_x(max_degree // 2).filter(lambda word: word[1] != du))
+    s = draw(st.integers(min(du, dv) - 1, max_degree - max(du, dv)))
+    return "Q%d (%s + %s)" % (s, u, v)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -419,7 +418,7 @@ def test_random_monomials_have_consistent_degrees():
 def test_mu_inverse_grows_only_to_the_requested_degree():
     M = MUHomology(256)
     for statement in PRIDDY_VALUES:
-        got, want = priddy_sides(M, statement)
+        got, want = statement_sides(M, statement)
         assert got == want, statement
     # the highest degree asked for is 14 (Q10 b2), far below the cap
     assert len(M._inverse) <= 15

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dlforge.suites import SUITE_NAMES, SuiteError, build_suite, emit_report, run_suite, xi5_chain
+from dlforge.suites import SUITE_NAMES, SuiteError, build_suite, emit_report, run_suite
 
 
 def test_registry_covers_every_suite_name():
@@ -43,11 +43,6 @@ def test_imported_flags_are_surfaced():
     flags = {row["id"]: row["imported"] for row in report["checks"]}
     assert flags["04-indeterminacy"] and flags["05-hopf-endpoint"]
     assert not flags["01-second-juggle"]
-
-
-def test_xi5_chain_shorthand_matches_run_suite():
-    config = {"scrub_timing": True}
-    assert xi5_chain(config) == run_suite("xi5-chain", config)
 
 
 def test_injected_fault_appends_a_failing_check():
