@@ -57,8 +57,8 @@ class DLModel(CartanExtension):
     elements is additivity over terms plus ``CartanExtension`` on each
     monomial.  Values are memoized per (s, monomial); the tables are
     append-only and deterministic.  Both models read their actions off the
-    inverse of 1 plus the sum of all ring generators, kept as a list of
-    components grown on demand.
+    inverse of 1 plus the sum of all ring generators, whose components
+    ``graded_inverse`` enumerates into the memo ``_inverse``.
     """
 
     is_zero = staticmethod(GradedPolynomial.is_zero)
@@ -71,7 +71,7 @@ class DLModel(CartanExtension):
         self.zero = ring.zero()
         self.one = ring.one()
         self._mono_cache = {}
-        self._inverse = []
+        self._inverse = {}
         self.sum_products = ring.sum_products
 
     def generator_action(self, s, index):
@@ -95,45 +95,31 @@ class DLModel(CartanExtension):
         return self.ring.sum(self.apply_mono(s, self.ring.unpack(mono)) for mono in element.terms)
 
     def _inverse_component(self, d):
-        """Degree-d component of (1 + sum of the ring generators)^{-1}.
-
-        Components are computed up to d on the first request for d, from the
-        generators of degree <= d only, so the cost follows the request rather
-        than the cap.
-        """
+        """Degree-d component of (1 + sum of the ring generators)^{-1}."""
         if d > self.max_degree:
             raise ValueError(
                 "degree %d is beyond the model's degree cap %d" % (d, self.max_degree)
             )
-        if len(self._inverse) <= d:
-            gens = [self.ring.gen(g.name) for g in self.ring.generators if g.degree <= d]
-            total = self.ring.sum([self.ring.one()] + gens)
-            self._inverse = graded_inverse(total, d, known=self._inverse)
-        return self._inverse[d]
+        return graded_inverse(self.ring, d, self._inverse)
 
     # -- basis enumeration and decomposability --------------------------------
 
     def monomials_of_degree(self, d):
         """All monomials of the given degree, as ring elements."""
-        out = []
-
-        def build(idx, remaining, acc):
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            if idx >= len(self.ring.generators):
-                return
-            build(idx + 1, remaining, acc)
-            gd = self.ring.degrees[idx]
-            e = 1
-            while gd * e <= remaining:
-                acc.append((idx, e))
-                build(idx + 1, remaining - gd * e, acc)
-                acc.pop()
-                e += 1
-
-        build(0, d, [])
-        return [self.ring.make({self.ring.pack(m): 1}) for m in sorted(out)]
+        # (index, exponent) tuples by the degree still to fill, extended by
+        # one generator of degree <= d at a time
+        partial = {d: [()]}
+        for i, gd in enumerate(self.ring.degrees):
+            if not 0 < gd <= d:
+                continue
+            grown = {}
+            for remaining, monos in partial.items():
+                for e in range(remaining // gd + 1):
+                    grown.setdefault(remaining - gd * e, []).extend(
+                        m + ((i, e),) if e else m for m in monos
+                    )
+            partial = grown
+        return [self.ring.make({self.ring.pack(m): 1}) for m in sorted(partial.get(0, []))]
 
     def monomials_up_to(self, d):
         out = []

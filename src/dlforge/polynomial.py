@@ -413,11 +413,6 @@ class GradedPolynomial:
             raise ValueError("not homogeneous: degrees %s" % sorted(degs))
         return degs.pop()
 
-    def homogeneous_component(self, d):
-        return self.ring.make(
-            {m: c for m, c in self.terms.items() if self.ring.monomial_degree(m) == d}
-        )
-
     def degrees_present(self):
         return sorted({self.ring.monomial_degree(m) for m in self.terms})
 
@@ -558,26 +553,38 @@ def _power(powers, i, e):
     return p
 
 
-def graded_inverse(p, bound, known=None):
-    """Degreewise inverse of an element with unit constant term.
+def graded_inverse(ring, d, memo):
+    """Degree-d component of (1 + the sum of ``ring``'s generators)^{-1} over GF2.
 
-    Returns the list of homogeneous components ``inv[0..bound]`` of the
-    inverse of ``p`` in the graded completion of its ring.  ``known`` is a
-    prefix of that list from an earlier call; component d depends only on
-    the components of ``p`` in degrees <= d, so the prefix is extended up to
-    ``bound`` instead of starting again from degree 0.  It is not modified.
+    In characteristic 2, 1/(1 + x) is the product of the 1 + x^{2^k} and
+    x^{2^k} is the sum of the g^{2^k}, so the component is the sum of the
+    monomials prod_k g_k^{2^k} with at most one generator g_k for each bit k:
+    those whose exponents have pairwise disjoint binary digits.  Distinct
+    choices give distinct monomials, so no term cancels.  Shifting a
+    generator's key left by k doubles both its fields k times, giving the key
+    of g^{2^k}.  ``memo`` keeps the monomials for each (bit, remaining degree)
+    and may be shared by every call on one ring.
     """
-    ring = p.ring
-    sc = ring.scalars
-    c0 = p.constant_term()
-    if not sc.is_unit(c0):
-        raise ZeroDivisionError("constant term is not a unit")
-    c0inv = sc.inv(c0)
-    comps = [p.homogeneous_component(d) for d in range(bound + 1)]
-    inv = list(known[: bound + 1]) if known else [ring.scalar(c0inv)]
-    for d in range(len(inv), bound + 1):
-        acc = ring.sum_products(
-            (comps[i], inv[d - i]) for i in range(1, d + 1) if not comps[i].is_zero()
-        )
-        inv.append(acc.scale(sc.neg(c0inv)))
-    return inv
+    if ring.scalars is not GF2:
+        raise ValueError("graded_inverse works over GF2, not %s" % ring.scalars.name)
+    if (0, d) not in memo:
+        if 0 in ring.degrees:
+            raise ValueError("1 + a degree-0 generator has no graded inverse")
+        gens = sorted((g & _FIELD_MASK, g) for g in ring.gen_keys if g & _FIELD_MASK <= d)
+
+        def rest(k, r):
+            # the monomials prod_{j >= k} g_j^{2^j} of degree r
+            monos = memo.get((k, r))
+            if monos is None:
+                monos = [] if r else [0]
+                if 1 << k <= r:
+                    monos = list(rest(k + 1, r))
+                    for deg, key in gens:
+                        if deg << k > r:
+                            break
+                        monos += [(key << k) + m for m in rest(k + 1, r - (deg << k))]
+                memo[k, r] = monos
+            return monos
+
+        rest(0, d)
+    return GradedPolynomial(ring, dict.fromkeys(memo[0, d], 1))

@@ -2,12 +2,13 @@
 recursions and the published value tables."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlforge import homology
+from dlforge import homology, suites
 from dlforge.expressions import parse_context
 from dlforge.homology import (
     DualSteenrodAlgebra,
@@ -23,7 +24,7 @@ from dlforge.homology import (
 from dlforge.polynomial import GradedPolynomial
 from dlforge.relations import Y_DEFINITIONS, qbar, suspended_relation, y_context
 from dlforge.rewriting import adem_step, normalize
-from dlforge.suites import PRIDDY_VALUES, run_suite, statement_sides
+from dlforge.suites import PRIDDY_VALUES, STEINBERGER_VALUES, run_suite, statement_sides
 from dlforge.substitutions import suspend
 
 
@@ -55,12 +56,9 @@ def test_antipode_degrees():
 
 def test_action_value_table_on_the_conjugates():
     A = dual_steenrod()
-    bar = A.antipode_xi
-    assert A.q_conjugate(2, 1) == bar(2)
-    assert A.q_conjugate(3, 1) == bar(1) ** 4
-    assert A.q_conjugate(4, 1) == bar(1) ** 2 * bar(2)
-    assert A.q_conjugate(5, 1) == bar(2) ** 2
-    assert A.q_conjugate(16, 4) == bar(5)
+    for statement in STEINBERGER_VALUES:
+        got, want = statement_sides(A, statement)
+        assert got == want, statement
 
 
 def test_conjugate_ladder():
@@ -110,6 +108,35 @@ def test_self_check_is_clean():
     checked, failures = A.self_check(strict=False)
     assert not failures
     assert len(checked) >= 40
+
+
+def shared_bit_inverse(ring, d, memo):
+    # graded_inverse with a fault: one bit may hold two distinct generators
+    choices = sorted(ring.gen_keys) + [g + h for g, h in combinations(sorted(ring.gen_keys), 2)]
+
+    def rest(k, r):
+        if r == 0:
+            return [0]
+        if 1 << k > r:
+            return []
+        out = list(rest(k + 1, r))
+        for c in choices:
+            deg = ring.monomial_degree(c) << k
+            if deg <= r:
+                out += [(c << k) + m for m in rest(k + 1, r - deg)]
+        return out
+
+    return GradedPolynomial(ring, dict.fromkeys(rest(0, d), 1))
+
+
+def test_self_check_fails_when_two_generators_share_a_bit(monkeypatch):
+    # negative control for the inverse: the model and its suite row must see it
+    monkeypatch.setattr(homology, "graded_inverse", shared_bit_inverse)
+    _, failures = DualSteenrodAlgebra(40).self_check(strict=False)
+    assert failures
+    monkeypatch.setattr(suites, "dual_steenrod", DualSteenrodAlgebra)  # not the cached model
+    rows = {row["id"]: row["status"] for row in run_suite("steinberger")["checks"]}
+    assert rows["10-self-check"] == "fail"
 
 
 def test_top_conjugate_is_indecomposable_mod_decomposables():
@@ -264,7 +291,8 @@ def test_commute_sweep_does_a_pinned_number_of_products(monkeypatch):
     monkeypatch.setattr(GradedPolynomial, "__mul__", counted)
     ok, failures = check_dl_compatibility(24, 14, MUHomology(40), DualSteenrodAlgebra(40))
     assert ok, failures[:3]
-    assert len(calls) == 2827
+    # no product builds an inverse component: graded_inverse enumerates them
+    assert len(calls) == 2668
 
 
 def test_commute_sweep_fails_on_a_wrong_image(monkeypatch):
@@ -420,14 +448,15 @@ def test_mu_inverse_grows_only_to_the_requested_degree():
     for statement in PRIDDY_VALUES:
         got, want = statement_sides(M, statement)
         assert got == want, statement
-    # the highest degree asked for is 14 (Q10 b2), far below the cap
-    assert len(M._inverse) <= 15
+    # the highest degree asked for is 14 (Q10 b2), far below the cap; the
+    # memo is keyed by (bit, remaining degree)
+    assert max(r for _, r in M._inverse) <= 14
 
 
 def test_dual_inverse_grows_only_to_the_requested_degree():
     A = DualSteenrodAlgebra(256)
     assert A.q_xi1(5).terms == dual_steenrod().q_xi1(5).terms
-    assert len(A._inverse) == 7
+    assert max(r for _, r in A._inverse) == 6
 
 
 def test_inverse_components_match_across_caps():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlforge.homology import MUHomology
+from dlforge.homology import DualSteenrodAlgebra, MUHomology
 from dlforge.polynomial import (
     FIELD_LIMIT,
     GF2,
@@ -174,35 +174,53 @@ def test_quotient_with_rewrite_rhs():
     assert (ring.scalar(2) + v3) * (ring.scalar(3) + v3) == ring.scalar(6) + v3.scale(5)
 
 
+def recurrence_inverse(ring, bound):
+    """Oracle: components 0..bound of (1 + sum of the generators)^{-1} over GF2,
+    by the product recurrence inv[d] = sum_g g * inv[d - |g|]."""
+    inv = [ring.one()]
+    for d in range(1, bound + 1):
+        inv.append(
+            ring.sum_products(
+                (ring.gen(g.name), inv[d - g.degree]) for g in ring.generators if g.degree <= d
+            )
+        )
+    return inv
+
+
+INVERSE_MODELS = (DualSteenrodAlgebra(127), MUHomology(60))
+
+
+@pytest.mark.parametrize("model", INVERSE_MODELS, ids=["dual-steenrod", "h-mu"])
+def test_graded_inverse_matches_the_product_recurrence(model):
+    ring, memo = model.ring, {}
+    oracle = recurrence_inverse(ring, model.max_degree)
+    # descending, so the first call fills the memo that the others read
+    for d in range(model.max_degree, -1, -1):
+        assert graded_inverse(ring, d, memo) == oracle[d], d
+    assert graded_inverse(ring, model.max_degree, {}) == oracle[-1]
+
+
 def test_graded_inverse_multiplies_back_to_one():
-    ring = small_ring()
-    p = ring.one() + ring.gen("a") + ring.gen("b") + ring.gen("c") * ring.gen("a")
-    bound = 9
-    inv = graded_inverse(p, bound)
-    total = ring.zero()
-    for component in inv:
-        total = total + component
-    residual = p * total + ring.one()
-    assert all(d > bound for d in residual.degrees_present())
+    for model in INVERSE_MODELS:
+        ring, memo, bound = model.ring, {}, model.max_degree
+        inverse = ring.sum(graded_inverse(ring, d, memo) for d in range(bound + 1))
+        total = ring.sum([ring.one()] + [ring.gen(g.name) for g in ring.generators])
+        residual = total * inverse + ring.one()
+        assert all(d > bound for d in residual.degrees_present()), model
 
 
 def test_graded_inverse_components_are_homogeneous():
-    ring = rational_ring()
-    p = ring.one() + ring.gen("u") + ring.gen("v").scale(Fraction(1, 2))
-    inv = graded_inverse(p, 8)
-    for d, component in enumerate(inv):
-        assert component.is_zero() or component.degree() == d
+    ring, memo = DualSteenrodAlgebra(64).ring, {}
+    for d in range(65):
+        component = graded_inverse(ring, d, memo)
+        assert component.degrees_present() == [d]
 
 
-def test_graded_inverse_resumes_from_a_known_prefix():
-    ring = small_ring()
-    p = ring.one() + ring.gen("a") + ring.gen("b") + ring.gen("c") * ring.gen("a")
-    for low in (0, 3, 8):
-        known = graded_inverse(p, low)
-        resumed = graded_inverse(p, 8, known=known)
-        assert resumed == graded_inverse(p, 8)
-        assert all(a is b for a, b in zip(resumed, known))  # reused, not recomputed
-        assert len(known) == low + 1  # and not modified
+def test_graded_inverse_rejects_rings_it_cannot_invert():
+    with pytest.raises(ValueError):
+        graded_inverse(rational_ring(), 4, {})
+    with pytest.raises(ValueError):
+        graded_inverse(PolynomialRing(GF2, [Generator("e", 0), Generator("a", 1)]), 2, {})
 
 
 def test_indecomposable_part_keeps_only_linear_generator_terms():

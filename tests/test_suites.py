@@ -86,11 +86,15 @@ def test_errors_are_reported_not_raised():
 def test_scrubbed_all_report_is_byte_stable():
     # a refactor must leave the report unchanged; only a deliberate schema
     # change may move these hashes.  Cap 128 gives the packed monomials 64
-    # generator fields.
+    # generator fields; at cap 2048 H_*MU has 1,024 generators, and every
+    # row passes.
     for config, want in (
         ({}, "e5ee6ccea1976761e1586b8dc46b20e013a5c7ed50262a1c0a6e7881b0a7c2aa"),
         ({"max_degree": 128}, "624e7c801dcae6d16d2788ae32c0abb3b1c0bb6ebdb914009a9c6ab2ff6b1e85"),
         ({"max_degree": 256}, "994a109f8ca9293353aaa621e921c26296ca251ad18eb1695c9b2ab2f672f280"),
+        ({"max_degree": 512}, "fdae00b0f34a0cb9883bbe5a90d4d166158d64ab991360cebe0d488362eb6fed"),
+        ({"max_degree": 1024}, "fd46ece915457216a3a3bf16da96d542edd106f4a4bfba847937e5bc0ba7692b"),
+        ({"max_degree": 2048}, "d38a62c47329d0d096fbea004a514dc1b737b6291139912563a9df4fb2530e35"),
     ):
         text = emit_report(run_suite("all", {"scrub_timing": True, **config}))
         digest = hashlib.sha256(text.encode()).hexdigest()
