@@ -334,13 +334,18 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
     """Normalize Q^{s_1} .. Q^{s_k} applied to a generator.
 
     ``bottom-up`` resolves instability and inadmissibility from the inner
-    end outward (the canonical route).  ``top-down`` first reduces the bare
-    superscript sequence with Adem steps, always picking the leftmost
-    inadmissible pair, and only then evaluates each admissible sequence;
-    ``rightmost`` does the same but always picks the rightmost pair.
-    Confluence of the calculus means all three answers agree.
+    end outward (the canonical route).  ``top-down`` reduces the superscript
+    sequence with Adem steps, always picking the leftmost inadmissible pair,
+    and then evaluates each admissible sequence on the generator;
+    ``rightmost`` does the same but always picks the rightmost pair.  Both
+    drop a sequence as soon as it applies some Q^s to an argument of degree
+    above s (instability): the input when it already does, and each Adem
+    term whose two new entries do.  Adem keeps the sum of the pair, so no
+    other entry's argument degree changes.  Confluence of the calculus means
+    all three answers agree.
     """
     superscripts = tuple(superscripts)
+    degree = context.degree(generator)  # raises on unknown names
     eng = _Engine(context)
     if strategy == "bottom-up":
         poly = eng.evaluate(GenRef(generator))
@@ -349,6 +354,8 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
         return DLPolynomial(context, poly)
     if strategy not in ("top-down", "rightmost"):
         raise ValueError("unknown strategy %r" % strategy)
+    if any(s < degree + sum(superscripts[i + 1 :]) for i, s in enumerate(superscripts)):
+        return DLPolynomial(context, _ZERO)
     scan = range if strategy == "top-down" else (lambda n: reversed(range(n)))
     pending = {superscripts}
     admissible = set()
@@ -365,9 +372,11 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
         steps += 1
         if steps > STEP_BUDGET:
             raise RewriteBudgetExceeded("rewrite budget exhausted")
+        below = degree + sum(seq[spot + 2 :])
         for (top, inner), _bit in adem_step(seq[spot], seq[spot + 1]):
-            new = seq[:spot] + (top, inner) + seq[spot + 2 :]
-            pending ^= {new}
+            if inner < below or top < below + inner:
+                continue
+            pending ^= {seq[:spot] + (top, inner) + seq[spot + 2 :]}
     out = _ZERO
     for seq in admissible:
         poly = eng.evaluate(GenRef(generator))

@@ -4,8 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dlforge import rewriting
 from dlforge.expressions import (
+    GenRef,
+    QOp,
+    UnknownGeneratorError,
     en_level_witness,
     format_expression,
     min_en_level,
@@ -36,7 +42,7 @@ from dlforge.relations import (
     y4_context,
     y_context,
 )
-from dlforge.rewriting import adem_step, normalize, normalize_word, verify_identity
+from dlforge.rewriting import DLPolynomial, adem_step, normalize, normalize_word, verify_identity
 from dlforge.substitutions import compose_maps, suspend
 
 
@@ -238,6 +244,98 @@ def test_word_strategies_agree_on_corpus():
         top = normalize_word(word, "x", ctx, strategy="top-down")
         right = normalize_word(word, "x", ctx, strategy="rightmost")
         assert bottom == top == right, word
+
+
+STRATEGIES = ("bottom-up", "top-down", "rightmost")
+
+
+def bare_reduction_oracle(superscripts, generator, context):
+    """Oracle: Adem-reduce the bare superscript sequence to admissible ones,
+    leftmost pair first and with no instability pruning, then evaluate each
+    admissible sequence on the generator and add the results."""
+    pending, admissible = {tuple(superscripts)}, set()
+    while pending:
+        seq = pending.pop()
+        spot = next((i for i in range(len(seq) - 1) if seq[i] > 2 * seq[i + 1]), None)
+        if spot is None:
+            admissible ^= {seq}
+            continue
+        for (top, inner), _ in adem_step(seq[spot], seq[spot + 1]):
+            pending ^= {seq[:spot] + (top, inner) + seq[spot + 2 :]}
+    out = DLPolynomial(context, frozenset())
+    for seq in admissible:
+        node = GenRef(generator)
+        for s in reversed(seq):
+            node = QOp(s, node)
+        out = out + normalize(node, context)
+    return out
+
+
+@st.composite
+def generator_words(draw):
+    """A generator degree 0..6 and a word of 1..4 superscripts, outermost first.
+
+    Half the words take any superscripts 0..60, so most apply some operation
+    below its argument's degree.  The other half put each superscript 0..12
+    above its argument's degree, so the input survives instability and the
+    Adem terms dropped inside the reduction are reached.
+    """
+    degree = draw(st.integers(0, 6))
+    length = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return degree, draw(st.lists(st.integers(0, 60), min_size=length, max_size=length))
+    word, below = [], degree
+    for _ in range(length):
+        word.append(below + draw(st.integers(0, 12)))
+        below += word[-1]
+    return degree, word[::-1]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(generator_words())
+def test_strategies_agree_with_the_bare_reduction(degree_and_word):
+    degree, word = degree_and_word
+    context = parse_context("gen x deg %d\n" % degree)
+    want = bare_reduction_oracle(word, "x", context)
+    for strategy in STRATEGIES:
+        assert normalize_word(word, "x", context, strategy) == want, strategy
+
+
+# Stable words of the rewrite corpus's shape: each superscript at least its
+# argument's degree and every adjacent pair inadmissible.
+LONG_STABLE_WORDS = ((116, 54, 22, 6), (140, 67, 28, 10), (158, 76, 35, 12), (169, 79, 34, 12))
+
+
+@pytest.mark.parametrize("word", LONG_STABLE_WORDS, ids=lambda w: "Q%d-Q%d-Q%d-Q%d" % w)
+def test_long_stable_words_match_the_bare_reduction(word):
+    context = parse_context("gen x deg 2\n")
+    want = bare_reduction_oracle(word, "x", context)
+    assert not want.is_zero()
+    for strategy in STRATEGIES:
+        assert normalize_word(word, "x", context, strategy) == want, strategy
+
+
+# adem_step calls for Q116 Q54 Q22 Q6 x on fresh caches.
+PINNED_ADEM_STEPS = {"bottom-up": 98, "top-down": 58, "rightmost": 29}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_adem_steps_on_a_long_word_are_pinned(strategy, monkeypatch):
+    calls = []
+
+    def counted_adem_step(r, s):
+        calls.append((r, s))
+        return adem_step(r, s)
+
+    monkeypatch.setattr(rewriting, "adem_step", counted_adem_step)
+    normalize_word(LONG_STABLE_WORDS[0], "x", parse_context("gen x deg 2\n"), strategy)
+    assert len(calls) == PINNED_ADEM_STEPS[strategy]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_normalize_word_rejects_an_unknown_generator(strategy):
+    with pytest.raises(UnknownGeneratorError):
+        normalize_word((5, 2), "y", x_context(), strategy)
 
 
 def test_normalization_is_idempotent_on_corpus():
