@@ -35,6 +35,9 @@ __all__ = [
     "ReductionResult",
 ]
 
+# Watchdog: upper bound on the passes of one mod-2 series reduction.
+REDUCTION_PASS_BUDGET = 10_000
+
 
 class LogarithmPreset:
     """A coefficient ring together with an exact logarithm.
@@ -45,11 +48,10 @@ class LogarithmPreset:
     is a separate check, not an assumption.
     """
 
-    def __init__(self, name, ring, log_powers, description=""):
+    def __init__(self, name, ring, log_powers):
         self.name = name
         self.ring = ring
         self.log_powers = dict(log_powers)
-        self.description = description
         lin = self.log_powers.get(1)
         if lin is None or lin != ring.one():
             raise ValueError("logarithms here must start with the identity term")
@@ -83,20 +85,16 @@ class LogarithmPreset:
 
 _ADDITIVE = PolynomialRing(QQ, [])
 _APPENDIX = PolynomialRing(QQ, [Generator("v3", 14)], orders=(2,))
+# "additive": the additive law over the integers, an independent cross-check.
+# "appendix-z-v3": Z[v3]/(v3^2) with logarithm x + (v3/2) x^8.
 _PRESETS = {
     p.name: p
     for p in (
-        LogarithmPreset(
-            "additive",
-            _ADDITIVE,
-            {1: _ADDITIVE.one()},
-            "the additive law over the integers; an independent cross-check",
-        ),
+        LogarithmPreset("additive", _ADDITIVE, {1: _ADDITIVE.one()}),
         LogarithmPreset(
             "appendix-z-v3",
             _APPENDIX,
             {1: _APPENDIX.one(), 8: _APPENDIX.gen("v3").scale(Fraction(1, 2))},
-            "Z[v3]/(v3^2) with logarithm x + (v3/2) x^8",
         ),
     )
 }
@@ -109,7 +107,7 @@ def preset(name):
         raise KeyError("unknown formal group preset %r" % name) from None
 
 
-def fgl_from_log(p, x_order=12, y_order=12, check=True):
+def fgl_from_log(p, x_order, y_order, check=True):
     """The formal group law F(x, y) = exp(log x + log y) for a preset.
 
     With ``check`` on, verifies integrality, F(x, 0) = x, symmetry, and
@@ -137,24 +135,23 @@ def fgl_from_log(p, x_order=12, y_order=12, check=True):
     return F
 
 
-def n_series(p, n, order=12, var="t", check=True):
-    """The n-series [n](t) = exp(n log t)."""
+def n_series(p, n, order, var="t"):
+    """The n-series [n](t) = exp(n log t), checked to be integral."""
     sig = signature((var,), (order,))
     log = p.log_series(sig, var)
     series = p.exp_series(sig, var).substitute({var: log.scale(n)})
-    if check:
-        series.assert_integral("%d-series" % n)
+    series.assert_integral("%d-series" % n)
     return series
 
 
 @lru_cache(maxsize=64)
-def bracket2_series(p, order=12, var="alpha"):
-    """The cofactor <2> with [2](t) = t <2>(t), as a series in ``var`` (memoized)."""
-    two = n_series(p, 2, order + 1, var)
-    return two.divide_exact(var, 1)
+def bracket2_series(p, order):
+    """The cofactor <2> with [2](alpha) = alpha <2>(alpha) (memoized)."""
+    two = n_series(p, 2, order + 1, "alpha")
+    return two.divide_exact("alpha", 1)
 
 
-def isogeny_g(p, x_order=8, alpha_order=20):
+def isogeny_g(p, x_order, alpha_order):
     """g(x, alpha) = x (x +_F alpha) over the (x, alpha) signature."""
     F = fgl_from_log(p, x_order + 1, alpha_order, check=False)
     sig = signature(("x", "alpha"), (x_order + 1, alpha_order))
@@ -171,11 +168,10 @@ class ReductionResult:
     so the difference lies in the ideal generated by the two-series.
     """
 
-    def __init__(self, reduced, multiplier, bracket2, var):
+    def __init__(self, reduced, multiplier, bracket2):
         self.reduced = reduced
         self.multiplier = multiplier
         self.bracket2 = bracket2
-        self.var = var
 
     def congruence_holds(self, original):
         return self.reduced + self.bracket2 * self.multiplier == original
@@ -184,23 +180,23 @@ class ReductionResult:
         return "<reduction %s>" % self.reduced
 
 
-def reduce_mod_two_series(series, p, var="alpha", max_passes=10_000):
-    """Reduce coefficients of positive powers of ``var`` modulo 2.
+def reduce_mod_two_series(series, p):
+    """Reduce coefficients of positive powers of alpha modulo 2.
 
-    Each scalar 2q + r on a positive power of ``var`` is replaced by r,
+    Each scalar 2q + r on a positive power of alpha is replaced by r,
     trading the even part for (2 - <2>) times the same monomial; constant
-    terms in ``var`` are untouched.  Terminates because the traded terms
+    terms in alpha are untouched.  Terminates because the traded terms
     climb in degree until truncation or nilpotence kills them.
     """
     sig = series.sig
-    i = sig.index(var)
+    i = sig.index("alpha")
     ring = series.ring
-    bracket2 = bracket2_series(p, sig.orders[i], var).substitute(
-        {var: TruncatedSeries.variable(sig, ring, var)}
+    bracket2 = bracket2_series(p, sig.orders[i]).substitute(
+        {"alpha": TruncatedSeries.variable(sig, ring, "alpha")}
     )
     work = series
     multiplier = TruncatedSeries.zero(sig, ring)
-    for _ in range(max_passes):
+    for _ in range(REDUCTION_PASS_BUDGET):
         excess_vec = None
         terms = work.terms
         for vec in sorted(terms):
@@ -220,7 +216,7 @@ def reduce_mod_two_series(series, p, var="alpha", max_passes=10_000):
             if excess_vec:
                 break
         if excess_vec is None:
-            return ReductionResult(work, multiplier, bracket2, var)
+            return ReductionResult(work, multiplier, bracket2)
         vec, mono, q = excess_vec
         excess = TruncatedSeries.from_terms(sig, ring, {vec: ring.make({mono: Fraction(q)})})
         work = work - excess * bracket2
@@ -235,14 +231,13 @@ class PowerOpResult:
         self.__dict__.update(fields)
 
 
-def appendix_pipeline(n, p=None, alpha_order=None, y_order=None):
+def appendix_pipeline(n, p=None, alpha_order=None):
     """Value of the total power operation on the n-th projective class.
 
     Returns a ``PowerOpResult`` carrying every intermediate series and a
     tuple of (label, ok) rows for the checks performed along the way.
-    Results are memoized per (n, preset, alpha_order, y_order) after the
-    defaults are filled in, so callers share one result and must not
-    modify it.
+    Results are memoized per (n, preset, alpha_order) after the defaults
+    are filled in, so callers share one result and must not modify it.
     """
     if n < 1:
         raise ValueError("the pipeline needs n >= 1")
@@ -250,16 +245,15 @@ def appendix_pipeline(n, p=None, alpha_order=None, y_order=None):
         p = preset("appendix-z-v3")
     if alpha_order is None:
         alpha_order = 2 * n + 16
-    if y_order is None:
-        y_order = n + 2
-    return _appendix_pipeline(n, p, alpha_order, y_order)
+    return _appendix_pipeline(n, p, alpha_order)
 
 
 @lru_cache(maxsize=None)
-def _appendix_pipeline(n, p, alpha_order, y_order):
+def _appendix_pipeline(n, p, alpha_order):
     checks = []
+    y_order = n + 2
 
-    bracket2 = bracket2_series(p, alpha_order, "alpha")
+    bracket2 = bracket2_series(p, alpha_order)
     bracket2.assert_integral("<2>")
     two = n_series(p, 2, alpha_order + 1, "alpha")
     alpha1 = TruncatedSeries.variable(signature(("alpha",), (alpha_order + 1,)), p.ring, "alpha")
@@ -295,9 +289,9 @@ def _appendix_pipeline(n, p, alpha_order, y_order):
     raw.assert_integral("power operation value")
     checks.append(("value squares to cp^2 at alpha = 0", raw.constant_coefficient() == cp * cp))
 
-    reduction = reduce_mod_two_series(raw, p, "alpha")
+    reduction = reduce_mod_two_series(raw, p)
     checks.append(("reduction is a congruence", reduction.congruence_holds(raw)))
-    second = reduce_mod_two_series(reduction.reduced, p, "alpha")
+    second = reduce_mod_two_series(reduction.reduced, p)
     checks.append(("reduction is idempotent", second.reduced == reduction.reduced))
 
     return PowerOpResult(
@@ -333,15 +327,14 @@ def _truncate_var(series, var, bound):
     return series.retruncate(cut).retruncate(sig)
 
 
-def verify_isogeny_derivative(p=None, x_order=5, alpha_order=24):
+def verify_isogeny_derivative(p):
     """Check the derivative form of the isogeny equation.
 
     g'(x, a) l'_{target}(g(x, a), a) - a l'(x) must be <2> times an
     integral series, where the target log derivative has the pipeline's
     computed operation values as coefficients.  Returns (ok, h).
     """
-    if p is None:
-        p = preset("appendix-z-v3")
+    x_order, alpha_order = 5, 24
     g = isogeny_g(p, x_order, alpha_order)
     sig = g.sig
     images = [
@@ -355,12 +348,12 @@ def verify_isogeny_derivative(p=None, x_order=5, alpha_order=24):
     lprime = p.log_derivative(signature(("t",), (x_order,)), "t").substitute(
         {"t": TruncatedSeries.variable(sig, p.ring, "x")}
     )
-    bracket2 = bracket2_series(p, alpha_order, "alpha").substitute({"alpha": avar})
+    bracket2 = bracket2_series(p, alpha_order).substitute({"alpha": avar})
     h = (g.derivative("x") * target_lprime - avar * lprime) * bracket2.invert()
     return h.is_integral(), h
 
 
-def check_associativity(p, order=6):
+def check_associativity(p, order):
     """F(F(x, y), z) = F(x, F(y, z)) under a total-degree truncation."""
     big = max(3 * order, 12)
     F = fgl_from_log(p, big, big, check=False)

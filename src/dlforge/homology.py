@@ -4,8 +4,8 @@ Both carry Dyer-Lashof actions given by closed formulas on generators
 (Steinberger's generating function and case rule; Priddy's quotient of
 generating functions) and extended to all polynomials by additivity, the
 Cartan formula, and the square rule.  The two defining routes for the
-dual Steenrod action overlap; ``self_check`` compares them and treats any
-disagreement as a fatal implementation bug, not something to paper over.
+dual Steenrod action overlap; ``self_check`` compares them and reports any
+disagreement, an implementation bug, instead of papering over it.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ __all__ = [
     "indeterminacy_scan",
     "indecomposable_dimension",
 ]
+
+
+# The degree cap of a model when the caller names none.
+DEFAULT_MAX_DEGREE = 40
 
 
 class ModelInconsistencyError(RuntimeError):
@@ -152,7 +156,7 @@ class DualSteenrodAlgebra(DLModel):
     conjugate rule plus the Milnor recursion for xibar_i.
     """
 
-    def __init__(self, max_degree=40):
+    def __init__(self, max_degree):
         count = 1
         while 2 ** (count + 1) - 1 <= max_degree:
             count += 1
@@ -206,21 +210,19 @@ class DualSteenrodAlgebra(DLModel):
         """Q^s xibar_i via the full Cartan route (for cross-checking)."""
         return self.q(s, self.antipode_xi(i))
 
-    def self_check(self, strict=True):
+    def self_check(self):
         """Cross-check every pair of defining routes that overlap.
 
-        Returns (checked, failures); with ``strict`` a failure raises
-        ModelInconsistencyError immediately.
+        Returns (checked, failures): the labels compared and the
+        (label, detail) pairs that disagree.
         """
         failures = []
         checked = []
 
-        def record(label, ok, detail=""):
+        def record(label, ok, detail):
             checked.append(label)
             if not ok:
                 failures.append((label, detail))
-                if strict:
-                    raise ModelInconsistencyError("%s: %s" % (label, detail))
 
         for i in range(1, self.top_index + 1):
             residual = self.sum_products(
@@ -274,16 +276,16 @@ class MUHomology(DLModel):
     every odd operation on the even algebra is zero.
     """
 
-    def __init__(self, max_degree=40):
+    def __init__(self, max_degree):
         count = max_degree // 2
         gens = [Generator("b%d" % k, 2 * k) for k in range(1, count + 1)]
         super().__init__("h-mu", PolynomialRing(GF2, gens), max_degree)
         self.top_index = count
 
-    def b(self, k, exp=1):
+    def b(self, k):
         if k == 0:
             return self.ring.one()
-        return self.ring.gen("b%d" % k, exp)
+        return self.ring.gen("b%d" % k)
 
     @staticmethod
     def _priddy_binom(n, k, u):
@@ -315,14 +317,18 @@ class MUHomology(DLModel):
         return value
 
 
-@lru_cache(maxsize=None)
-def dual_steenrod(max_degree=40):
-    return DualSteenrodAlgebra(max_degree)
+def dual_steenrod(max_degree=DEFAULT_MAX_DEGREE):
+    return _model(DualSteenrodAlgebra, max_degree)
+
+
+def mu_homology(max_degree=DEFAULT_MAX_DEGREE):
+    return _model(MUHomology, max_degree)
 
 
 @lru_cache(maxsize=None)
-def mu_homology(max_degree=40):
-    return MUHomology(max_degree)
+def _model(cls, max_degree):
+    """One shared model per class and cap, however the caller spells the cap."""
+    return cls(max_degree)
 
 
 def map_p(element, source=None, target=None):
@@ -422,32 +428,33 @@ def indecomposable_dimension(model, degree):
     return sum(1 for g in model.ring.generators if g.degree == degree)
 
 
-def indeterminacy_scan(suspended_map, model, base_assignment, generator_name=None):
+def indeterminacy_scan(suspended_map, model, base_assignment):
     """Feed every model basis class through each term of a suspended image.
 
-    For each image term (one module generator each, by construction) and
-    each monomial basis element of the model in that generator's degree,
-    evaluates the term and records whether the value is decomposable.
-    Returns a dict with per-term rows and the overall verdict.
+    The map's source has a single module generator.  For each term of its
+    image (one module generator each, by construction) and each monomial
+    basis element of the model in that generator's degree, evaluates the
+    term and records whether the value is decomposable.  Returns a dict
+    with per-term rows and the overall verdict.
     """
-    from .substitutions import _flatten_terms, _module_count
+    from .substitutions import _flatten_terms, _module_refs
     from .expressions import format_expression
 
     source = suspended_map.source
     targets = suspended_map.target
-    if generator_name is None:
-        module_gens = [g for g in source.order if not source.is_base(g)]
-        if len(module_gens) != 1:
-            raise ValueError("scan needs a single module source generator")
-        generator_name = module_gens[0]
+    module_gens = [g for g in source.order if not source.is_base(g)]
+    if len(module_gens) != 1:
+        raise ValueError("scan needs a single module source generator")
+    generator_name = module_gens[0]
     image = suspended_map.image(generator_name)
     rows = []
     all_ok = True
     if image is not None:
         for term in _flatten_terms(image):
-            if _module_count(term, targets) != 1:
+            refs = _module_refs(term, targets)
+            if len(refs) != 1:
                 raise ValueError("suspended term with module count != 1")
-            slot = _single_module_ref(term, targets)
+            (slot,) = refs
             degree = targets.degree(slot)
             basis = model.monomials_of_degree(degree)
             bad = []
@@ -478,18 +485,3 @@ def indeterminacy_scan(suspended_map, model, base_assignment, generator_name=Non
         ),
     }
 
-
-def _single_module_ref(node, context):
-    if isinstance(node, GenRef):
-        return None if context.is_base(node.name) else node.name
-    if isinstance(node, QOp):
-        return _single_module_ref(node.arg, context)
-    if isinstance(node, Power):
-        return _single_module_ref(node.base, context)
-    if isinstance(node, Product):
-        for f in node.factors:
-            found = _single_module_ref(f, context)
-            if found is not None:
-                return found
-        return None
-    raise TypeError("unexpected node in a flattened term: %r" % (node,))

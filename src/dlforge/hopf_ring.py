@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .formal_groups import PowerOpResult, appendix_pipeline, preset
+from .formal_groups import PowerOpResult, appendix_pipeline
 from .polynomial import binomial_mod2
 
 __all__ = [
@@ -195,14 +195,15 @@ class SuspensionImage:
         return "<suspension %s>" % self
 
 
-def import_pseries(result, identification=None, source_name=None):
+def import_pseries(result, identification=None):
     """Convert a pipeline result into a PSeries of coefficient symbols.
 
-    ``identification`` maps coefficient-ring generator names to
-    ``CoeffClass`` symbols; a surviving generator without an image is an
-    ``IdentificationError``.  Monomials with two or more positive-degree
-    factors (or proper powers) drop as decomposables, and even scalars
-    drop mod 2; a non-integral scalar is an ``ArithmeticError``.
+    The source symbol is x<n> for the pipeline's n.  ``identification``
+    maps coefficient-ring generator names to ``CoeffClass`` symbols; a
+    surviving generator without an image is an ``IdentificationError``.
+    Monomials with two or more positive-degree factors (or proper powers)
+    drop as decomposables, and even scalars drop mod 2; a non-integral
+    scalar is an ``ArithmeticError``.
     """
     if isinstance(result, PowerOpResult):
         series = result.reduced
@@ -210,8 +211,6 @@ def import_pseries(result, identification=None, source_name=None):
     else:
         raise TypeError("import_pseries expects a PowerOpResult")
     identification = identification or {}
-    if source_name is None:
-        source_name = "x%d" % n
     ring = series.ring
     coefficients = {}
     for vec, poly in series.terms.items():
@@ -241,7 +240,7 @@ def import_pseries(result, identification=None, source_name=None):
             total = CoeffClass.zero() if total == image else (image if total.is_zero() else total)
         if not total.is_zero():
             coefficients[i] = total
-    return PSeries(source_name, 2 * n, coefficients)
+    return PSeries("x%d" % n, 2 * n, coefficients)
 
 
 def qhat_on_hurewicz(k, p):
@@ -293,13 +292,14 @@ class ImportedRule:
         return "<imported rule %s>" % self.name
 
 
-def _rw_additive_check(order=12):
+def _rw_additive_check():
     # At the additive law the relation collapses to b(s+t) = b(s) # b(t)
     # in a divided-power algebra: binom(a+b, a) gamma_{a+b} = gamma_a gamma_b.
     # The structure constant (a+b)! / (a! b!) is computed from factorials and
-    # must agree mod 2 with the Lucas-theorem binomial used elsewhere.
-    for a in range(order):
-        for b in range(order - a):
+    # must agree mod 2 with the Lucas-theorem binomial used elsewhere, for
+    # a + b < 12.
+    for a in range(12):
+        for b in range(12 - a):
             constant = Fraction(factorial(a + b), factorial(a) * factorial(b))
             if constant.denominator != 1 or binomial_mod2(a + b, a) != constant.numerator % 2:
                 return False
@@ -324,18 +324,17 @@ RW_MAIN_RELATION = ImportedRule(
 )
 
 
-def verify_gotcha_chain(k=5, identify=True, p=None):
-    """Run the full chain: pipeline, identification, Qhat, suspension.
+def verify_gotcha_chain(k=5, identify=True):
+    """Run the full chain on the appendix preset: pipeline, identification,
+    Qhat, suspension.
 
     Returns a dict of ordered step records, each with a value string, an
     ok flag where something is asserted, and an ``imported`` flag on the
     rules used without derivation.  With ``identify`` off the chain stops
     at the raw series, surfacing it instead of the endpoint.
     """
-    if p is None:
-        p = preset("appendix-z-v3")
     steps = []
-    result = appendix_pipeline(2, p)
+    result = appendix_pipeline(2)
     steps.append(
         {
             "id": "pipeline-n2",
@@ -357,7 +356,7 @@ def verify_gotcha_chain(k=5, identify=True, p=None):
         )
         return {"steps": steps, "endpoint": None}
     identification = {"v3": CoeffClass.x(7)}
-    pseries = import_pseries(result, identification, source_name="x2")
+    pseries = import_pseries(result, identification)
     steps.append(
         {
             "id": "identification",

@@ -66,6 +66,12 @@ def adem_step(r, s):
     return out
 
 
+def _stable_adem_terms(r, s, below):
+    """The terms (top, inner) of ``adem_step(r, s)`` that instability does not
+    kill on a class of degree ``below``: inner >= below, top >= below + inner."""
+    return [(t, i) for (t, i), _bit in adem_step(r, s) if i >= below and t >= below + i]
+
+
 _ZERO = frozenset()
 _ONE = frozenset({()})
 
@@ -199,10 +205,8 @@ class _Engine(CartanExtension):
                     raise RewriteBudgetExceeded("rewrite budget exhausted")
                 rest = (ops[1:], g)
                 acc = set()
-                for (top, inner), _bit in adem_step(s, ops[0]):
-                    lower = self.generator_action(inner, rest)
-                    if lower:
-                        acc ^= self.apply_poly(top, lower)
+                for top, inner in _stable_adem_terms(s, ops[0], d - ops[0]):
+                    acc ^= self.apply_poly(top, self.generator_action(inner, rest))
                 result = frozenset(acc)
         cache[key] = result
         return result
@@ -287,9 +291,9 @@ class DLPolynomial:
         return (sum(ops), ops, g)
 
     def _mono_key(self, mono):
-        eng = _Engine(self.context)
+        degree = self.context.degree
         return (
-            eng.mono_degree(mono),
+            sum((degree(g) + sum(ops)) * e for (ops, g), e in mono),
             tuple(sorted((self._word_key(w), e) for w, e in mono)),
         )
 
@@ -373,9 +377,7 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
         if steps > STEP_BUDGET:
             raise RewriteBudgetExceeded("rewrite budget exhausted")
         below = degree + sum(seq[spot + 2 :])
-        for (top, inner), _bit in adem_step(seq[spot], seq[spot + 1]):
-            if inner < below or top < below + inner:
-                continue
+        for top, inner in _stable_adem_terms(seq[spot], seq[spot + 1], below):
             pending ^= {seq[:spot] + (top, inner) + seq[spot + 2 :]}
     out = _ZERO
     for seq in admissible:

@@ -48,6 +48,11 @@ __all__ = ["SeriesSignature", "TruncatedSeries", "series_ring", "signature"]
 
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 
+# Watchdog: upper bound on the products of one ``invert``.
+INVERSE_STEP_BUDGET = 2048
+# Watchdog: upper bound on the fixed-point iterations of one ``compositional_inverse``.
+COMPOSITIONAL_STEP_BUDGET = 256
+
 
 @dataclass(frozen=True)
 class SeriesSignature:
@@ -296,7 +301,7 @@ class TruncatedSeries:
     def is_integral(self):
         return self.poly.is_integral()
 
-    def assert_integral(self, what="series"):
+    def assert_integral(self, what):
         if self.poly.is_integral():
             return self
         for vec, c in sorted(self.terms.items()):
@@ -342,16 +347,16 @@ class TruncatedSeries:
 
     # -- series calculus -------------------------------------------------------
 
-    def invert(self, max_steps=2048):
+    def invert(self):
         """Multiplicative inverse; the constant coefficient must be a unit.
 
         Every non-constant monomial of a series ring is nilpotent, the
         coefficient generators' part of the constant coefficient too, so the
         kernel's geometric series finds the (unique) inverse.
         """
-        return TruncatedSeries(self.sig, self.ring, self.poly.inverse(max_steps))
+        return TruncatedSeries(self.sig, self.ring, self.poly.inverse(INVERSE_STEP_BUDGET))
 
-    def compositional_inverse(self, var, max_steps=256):
+    def compositional_inverse(self, var):
         """Inverse under composition in ``var`` (parameters ride along).
 
         Requires every term to involve ``var`` (so the series vanishes at
@@ -378,7 +383,7 @@ class TruncatedSeries:
         higher = TruncatedSeries(self.sig, self.ring, GradedPolynomial(self.poly.ring, higher))
         ids = self.identity_images()
         w = t
-        for _ in range(max_steps):
+        for _ in range(COMPOSITIONAL_STEP_BUDGET):
             images = dict(ids)
             images[var] = w
             w_next = (t - higher.substitute(images)).scale(lininv)

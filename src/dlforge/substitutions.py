@@ -222,15 +222,16 @@ def _flatten_terms(node):
     raise TypeError("not an expression node: %r" % (node,))
 
 
-def _module_count(node, context):
+def _module_refs(node, context):
+    """The module generators of a flattened term, one entry per factor."""
     if isinstance(node, GenRef):
-        return 0 if context.is_base(node.name) else 1
+        return [] if context.is_base(node.name) else [node.name]
     if isinstance(node, QOp):
-        return _module_count(node.arg, context)
+        return _module_refs(node.arg, context)
     if isinstance(node, Power):
-        return node.exp * _module_count(node.base, context)
+        return node.exp * _module_refs(node.base, context)
     if isinstance(node, Product):
-        return sum(_module_count(f, context) for f in node.factors)
+        return [ref for f in node.factors for ref in _module_refs(f, context)]
     raise TypeError("unexpected node in a flattened term: %r" % (node,))
 
 
@@ -249,7 +250,7 @@ def _rename_refs(node, rename):
 def _suspend_expression(node, rename, context):
     terms = []
     for term in _flatten_terms(node):
-        if _module_count(term, context) != 1:
+        if len(_module_refs(term, context)) != 1:
             continue
         terms.append(_rename_refs(term, rename))
     if not terms:
@@ -280,4 +281,4 @@ def suspend(m):
             None if node is None else _suspend_expression(node, target_rename, m.target)
         )
     name = ("s " + m.name) if m.name else "s"
-    return SubstitutionMap(new_source, new_target, images, name=name, missing="error")
+    return SubstitutionMap(new_source, new_target, images, name=name)

@@ -199,7 +199,7 @@ def test_unknown_preset_rejected():
 
 def test_pipeline_is_memoized_after_filling_in_defaults():
     default = appendix_pipeline(2)
-    explicit = appendix_pipeline(2, preset("appendix-z-v3"), alpha_order=20, y_order=4)
+    explicit = appendix_pipeline(2, preset("appendix-z-v3"), alpha_order=20)
     assert default is explicit
     assert appendix_pipeline(2, alpha_order=21) is not default
 
@@ -244,3 +244,16 @@ def test_pipeline_does_a_pinned_number_of_kernel_products(monkeypatch):
     clear_memos()
     assert all(ok for _, ok in appendix_pipeline(2).checks)
     assert len(calls) == 212
+
+
+def test_reduction_raises_when_its_pass_budget_runs_out(monkeypatch):
+    # 8 alpha needs a pass that trades 4 <2> alpha and one that finds nothing
+    # left to reduce
+    clear_memos()
+    p = preset("appendix-z-v3")
+    sig = signature(("alpha",), (10,))
+    ring = bracket2_series(p, order=10).ring
+    series = TruncatedSeries.variable(sig, ring, "alpha").scale(ring.scalar(8))
+    monkeypatch.setattr(formal_groups, "REDUCTION_PASS_BUDGET", 1)
+    with pytest.raises(ArithmeticError, match="did not terminate"):
+        reduce_mod_two_series(series, p)

@@ -105,7 +105,7 @@ def test_case_rule_agrees_with_cartan_route():
 
 def test_self_check_is_clean():
     A = dual_steenrod()
-    checked, failures = A.self_check(strict=False)
+    checked, failures = A.self_check()
     assert not failures
     assert len(checked) >= 40
 
@@ -132,7 +132,7 @@ def shared_bit_inverse(ring, d, memo):
 def test_self_check_fails_when_two_generators_share_a_bit(monkeypatch):
     # negative control for the inverse: the model and its suite row must see it
     monkeypatch.setattr(homology, "graded_inverse", shared_bit_inverse)
-    _, failures = DualSteenrodAlgebra(40).self_check(strict=False)
+    _, failures = DualSteenrodAlgebra(40).self_check()
     assert failures
     monkeypatch.setattr(suites, "dual_steenrod", DualSteenrodAlgebra)  # not the cached model
     rows = {row["id"]: row["status"] for row in run_suite("steinberger")["checks"]}
@@ -262,6 +262,16 @@ def test_map_p_sends_spheres_to_conjugate_squares():
     assert map_p(M.b(7), M, A) == A.xi(3) * A.xi(3)
     for k in (2, 4, 5, 6):
         assert map_p(M.b(k), M, A).is_zero(), k
+
+
+def test_model_factories_share_one_model_per_cap():
+    # the default cap and the cap spelled either way give the same model, so
+    # map_p's default target is the model the caller built
+    for factory in (dual_steenrod, mu_homology):
+        assert factory() is factory(40) is factory(max_degree=40), factory
+    A, M = dual_steenrod(40), mu_homology(40)
+    assert map_p(M.b(1)) == A.xi(1) ** 2
+    assert (dual_steenrod().xi(1) + A.xi(1)).is_zero()
 
 
 def test_map_p_is_a_ring_map():

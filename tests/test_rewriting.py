@@ -316,7 +316,7 @@ def test_long_stable_words_match_the_bare_reduction(word):
 
 
 # adem_step calls for Q116 Q54 Q22 Q6 x on fresh caches.
-PINNED_ADEM_STEPS = {"bottom-up": 98, "top-down": 58, "rightmost": 29}
+PINNED_ADEM_STEPS = {"bottom-up": 25, "top-down": 58, "rightmost": 29}
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -410,3 +410,11 @@ def test_substitution_degree_mismatch_is_rejected():
 
     with pytest.raises(Exception):
         SubstitutionMap(ctx_a, ctx_b, {"u": "v"})
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_rewriting_raises_when_its_step_budget_runs_out(strategy, monkeypatch):
+    # a fresh context, since the word caches live on it
+    monkeypatch.setattr(rewriting, "STEP_BUDGET", 3)
+    with pytest.raises(rewriting.RewriteBudgetExceeded):
+        normalize_word(LONG_STABLE_WORDS[0], "x", parse_context("gen x deg 2\n"), strategy)

@@ -460,3 +460,20 @@ def test_invert_round_trips_over_the_v3_coefficients(sig, raw, a, b):
     # v3 alone is nilpotent, not a unit
     with pytest.raises(ArithmeticError):
         series_of(sig, {**terms, constant: {1: Fraction(1)}}).invert()
+
+
+def test_invert_raises_when_its_step_budget_runs_out(monkeypatch):
+    # 1 - t needs one product per power of t below the order
+    sig, ring = one_var(8)
+    f = TruncatedSeries.constant(sig, ring, ring.scalar(1)) - TruncatedSeries.variable(sig, ring, "t")
+    monkeypatch.setattr("dlforge.series.INVERSE_STEP_BUDGET", 3)
+    with pytest.raises(ArithmeticError, match="not unit \\+ nilpotent"):
+        f.invert()
+
+
+def test_compositional_inverse_raises_when_its_step_budget_runs_out(monkeypatch):
+    sig, ring = one_var(8)
+    t = TruncatedSeries.variable(sig, ring, "t")
+    monkeypatch.setattr("dlforge.series.COMPOSITIONAL_STEP_BUDGET", 1)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        (t + t ** 2).compositional_inverse("t")

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from dlforge import formal_groups
 from dlforge.suites import SUITE_NAMES, SuiteError, build_suite, emit_report, run_suite
 
 
@@ -99,3 +100,33 @@ def test_scrubbed_all_report_is_byte_stable():
         text = emit_report(run_suite("all", {"scrub_timing": True, **config}))
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == want, config
+
+
+PIPELINE_ROWS = (
+    "appendix/01-bracket2",
+    "appendix/02-g-cubic",
+    "appendix/03-kinv",
+    "appendix/04-f2",
+    "appendix/05-h2",
+    "appendix/06-raw",
+    "appendix/07-reduced",
+    "appendix/08-internal",
+    "appendix/09-additive-oracle",
+    "appendix/10-isogeny-derivative",
+    "hopf-chain/01-chain-k5",
+    "hopf-chain/02-chain-k4",
+    "hopf-chain/03-raw-surfaced",
+    "xi5-chain/05-hopf-endpoint",
+)
+
+
+def test_an_exhausted_reduction_budget_errors_exactly_the_pipeline_rows(monkeypatch):
+    # the pipeline memo is cleared so that no earlier result hides the budget
+    monkeypatch.setattr(formal_groups, "REDUCTION_PASS_BUDGET", 0)
+    formal_groups._appendix_pipeline.cache_clear()
+    report = run_suite("all", {"scrub_timing": True})
+    statuses = {row["id"]: row["status"] for row in report["checks"]}
+    assert sorted(i for i, status in statuses.items() if status == "error") == list(PIPELINE_ROWS)
+    assert all(status == "pass" for i, status in statuses.items() if i not in PIPELINE_ROWS)
+    witnesses = {row["witness"] for row in report["checks"] if row["status"] == "error"}
+    assert witnesses == {"ArithmeticError: mod-2 series reduction did not terminate"}
