@@ -218,7 +218,7 @@ def reduce_mod_two_series(series, p):
         if excess_vec is None:
             return ReductionResult(work, multiplier, bracket2)
         vec, mono, q = excess_vec
-        excess = TruncatedSeries.from_terms(sig, ring, {vec: ring.make({mono: Fraction(q)})})
+        excess = TruncatedSeries.from_terms(sig, ring, {vec: ring.make({mono: q})})
         work = work - excess * bracket2
         multiplier = multiplier + excess
     raise ArithmeticError("mod-2 series reduction did not terminate")

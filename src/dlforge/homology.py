@@ -10,7 +10,8 @@ disagreement, an implementation bug, instead of papering over it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .expressions import (
     GenRef,
@@ -22,6 +23,7 @@ from .expressions import (
     parse_expression,
 )
 from .polynomial import (
+    FIELD_BITS,
     GF2,
     Generator,
     GradedPolynomial,
@@ -59,14 +61,16 @@ class DLModel(CartanExtension):
 
     Subclasses provide ``generator_action(s, index)``; the extension to all
     elements is additivity over terms plus ``CartanExtension`` on each
-    monomial.  Values are memoized per (s, monomial); the tables are
-    append-only and deterministic.  Both models read their actions off the
-    inverse of 1 plus the sum of all ring generators, whose components
-    ``graded_inverse`` enumerates into the memo ``_inverse``.
+    monomial, which works on the ring's packed keys directly.  Values are
+    memoized per (s, key); the tables are append-only and deterministic.
+    Both models read their actions off the inverse of 1 plus the sum of all
+    ring generators, whose components ``graded_inverse`` enumerates into the
+    memo ``_inverse``.
     """
 
     is_zero = staticmethod(GradedPolynomial.is_zero)
     degrees = staticmethod(GradedPolynomial.degrees_present)
+    mono_degree = staticmethod(PolynomialRing.monomial_degree)
 
     def __init__(self, name, ring, max_degree):
         self.name = name
@@ -77,26 +81,50 @@ class DLModel(CartanExtension):
         self._mono_cache = {}
         self._inverse = {}
         self.sum_products = ring.sum_products
+        # the lowest bit of every field of a key
+        self._low_bits = ring.guard >> (FIELD_BITS - 1)
 
     def generator_action(self, s, index):
         raise NotImplementedError
 
-    def generator_degree(self, index):
-        return self.ring.degrees[index]
+    # -- the Cartan primitives on packed keys (see ``polynomial``) -------------
 
-    @staticmethod
-    def square(p):
-        return p * p
+    def lone_generator(self, mono):
+        return self.ring.gen_keys.get(mono)
+
+    def halve(self, mono):
+        # every field even: shifting right halves each one and crosses none
+        return None if mono & self._low_bits else mono >> 1
+
+    def peel(self, mono):
+        rest = mono >> FIELD_BITS
+        index = ((rest & -rest).bit_length() - 1) // FIELD_BITS
+        first = (1 << FIELD_BITS * (index + 1)) + self.ring.degrees[index]
+        return first, self.ring.degrees[index], mono - first
+
+    def square(self, p):
+        """p^2 by Frobenius: doubling a key squares its monomial, and distinct
+        keys double to distinct keys.  A field at or above 2^(FIELD_BITS - 2)
+        goes through the product, which raises ``OverflowError``."""
+        ring = self.ring
+        if ring.limited or reduce(or_, p.terms, 0) & ring.top_bits:
+            return p * p
+        return GradedPolynomial(ring, dict.fromkeys([m << 1 for m in p.terms], 1))
 
     def q(self, s, element):
         """Q^s extended to an arbitrary element, homogeneous or not."""
         if s < 0:
             raise ValueError("operations have non-negative superscripts")
-        if not element.is_zero() and s + element.degrees_present()[-1] > self.max_degree:
+        terms = element.terms
+        if terms and s + max(map(self.mono_degree, terms)) > self.max_degree:
             raise ValueError(
                 "Q%d lands beyond the model's degree cap %d" % (s, self.max_degree)
             )
-        return self.ring.sum(self.apply_mono(s, self.ring.unpack(mono)) for mono in element.terms)
+        if len(terms) == 1:
+            # the memoized value itself: elements are immutable
+            (mono,) = terms
+            return self.apply_mono(s, mono)
+        return self.ring.sum(self.apply_mono(s, mono) for mono in terms)
 
     def _inverse_component(self, d):
         """Degree-d component of (1 + sum of the ring generators)^{-1}."""
@@ -342,8 +370,9 @@ def map_p(element, source=None, target=None):
 def _p_images(source, target):
     """Generator images of ``map_p``, built once per pair of models.
 
-    The cache is bounded so that it does not keep every model a caller
-    builds alive for the life of the process.
+    The bound of 16 keeps this cache from holding every directly
+    constructed model alive; it frees no model built by ``dual_steenrod``
+    or ``mu_homology``, which ``_model`` keeps for the life of the process.
     """
     images = {}
     for k in range(1, source.top_index + 1):
@@ -359,15 +388,21 @@ def check_dl_compatibility(s_range, degree_range, source=None, target=None):
     """Does map_p commute with every Q^s over the given ranges?
 
     Returns (ok, failures) with failing triples (s, monomial, lhs, rhs).
+    Q^s u has degree |u| + s and p keeps degrees, so the sums over s agree
+    exactly when every s does: one map_p per monomial, split by s on a
+    mismatch.
     """
     source = source or mu_homology()
     target = target or dual_steenrod()
     failures = []
     for u in source.monomials_up_to(degree_range):
         image = map_p(u, source, target)
-        for s in range(0, s_range + 1):
-            lhs = map_p(source.q(s, u), source, target)
-            rhs = target.q(s, image)
+        values = [source.q(s, u) for s in range(s_range + 1)]
+        images = [target.q(s, image) for s in range(s_range + 1)]
+        if map_p(source.ring.sum(values), source, target) == target.ring.sum(images):
+            continue
+        for s, (value, rhs) in enumerate(zip(values, images)):
+            lhs = map_p(value, source, target)
             if lhs != rhs:
                 failures.append((s, u, lhs, rhs))
     return not failures, failures

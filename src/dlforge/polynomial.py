@@ -3,7 +3,8 @@
 Supports weighted gradings, generator orders (nilpotent generators such as
 v3 with v3^2 = 0), and the indecomposable-projection bookkeeping used by
 the homology models.  All arithmetic is exact: scalars are either bits
-(the field with two elements) or ``fractions.Fraction``.  No floating point
+(the field with two elements) or rationals, kept as an ``int`` when
+integral and as a ``fractions.Fraction`` otherwise.  No floating point
 appears anywhere in this package.
 
 A polynomial is a mapping from monomials to nonzero scalars.  A monomial
@@ -31,9 +32,10 @@ one AND per product monomial.
 accumulator instead of copying a partial sum per term: over GF2 each
 monomial toggles in or out (XOR), over Q a coefficient that cancels is popped.
 
-Only ``PolynomialRing`` and the series rings of ``series`` know this
-layout; ``PolynomialRing.pack`` and ``PolynomialRing.unpack`` convert from
-and to sorted ``(generator_index, exponent)`` tuples.
+Only ``PolynomialRing``, the series rings of ``series`` and the Cartan
+primitives of ``homology.DLModel`` know this layout;
+``PolynomialRing.pack`` and ``PolynomialRing.unpack`` convert from and to
+sorted ``(generator_index, exponent)`` tuples.
 """
 
 from __future__ import annotations
@@ -93,21 +95,26 @@ class _F2:
         return str(a)
 
 
+def _rational(v):
+    """A rational result as an ``int`` when it is integral, else as a ``Fraction``."""
+    return v.numerator if v.__class__ is Fraction and v.denominator == 1 else v
+
+
 class _QQ:
-    """Scalar arithmetic for exact rationals."""
+    """Scalar arithmetic for exact rationals: an ``int`` when integral, else a ``Fraction``."""
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, v):
-        return Fraction(v)
+        return v if v.__class__ is int else _rational(Fraction(v))
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
         return -a
@@ -116,7 +123,7 @@ class _QQ:
         return a != 0
 
     def inv(self, a):
-        return Fraction(1) / a
+        return _rational(Fraction(1) / a)
 
     def is_integral(self, a):
         return a.denominator == 1
@@ -175,9 +182,8 @@ class PolynomialRing:
             raise ValueError("generator degrees must be nonnegative")
         self.index = {g.name: i for i, g in enumerate(self.generators)}
         self.degrees = tuple(g.degree for g in self.generators)
-        self.gen_keys = frozenset(
-            (1 << FIELD_BITS * (i + 1)) + d for i, d in enumerate(self.degrees)
-        )
+        # the key of each generator to the first power -> its index
+        self.gen_keys = {(1 << FIELD_BITS * (i + 1)) + d: i for i, d in enumerate(self.degrees)}
         self.guard = sum(FIELD_LIMIT << FIELD_BITS * k for k in range(len(self.generators) + 1))
         # a key with no field at or above 2^(FIELD_BITS - 2) adds to any other
         # such key without reaching a guard bit
@@ -236,6 +242,9 @@ class PolynomialRing:
     def make(self, terms):
         """Normalize a {monomial: scalar} mapping into an element."""
         zero = self.scalars.zero
+        if self.scalars is not GF2:
+            coerce = self.scalars.coerce
+            terms = {m: coerce(c) for m, c in terms.items()}
         if self.limited:
             return GradedPolynomial(
                 self, {m: c for m, c in terms.items() if c != zero and not self.kills(m)}
@@ -258,6 +267,7 @@ class PolynomialRing:
                     raise ValueError("elements of different rings")
                 out.symmetric_difference_update(p.terms)
             return GradedPolynomial(self, dict.fromkeys(out, 1))
+        add = self.scalars.add
         out = {}
         for p in elements:
             if p.ring is not self:
@@ -268,7 +278,7 @@ class PolynomialRing:
             for m, c in p.terms.items():
                 s = out.get(m)
                 if s is not None:
-                    c += s
+                    c = add(s, c)
                 if c:
                     out[m] = c
                 else:

@@ -79,24 +79,24 @@ _ONE = frozenset({()})
 class CartanExtension:
     """Q^s on monomials from Q^s on single generators.
 
-    A monomial is a sorted tuple of (generator, exponent) pairs.  The
-    recursion follows Cohen-Lada-May (LNM 533, III.1): Q^s 1 is 1 for s = 0
-    and 0 otherwise; a lone generator goes to ``generator_action``; an
+    The recursion follows Cohen-Lada-May (LNM 533, III.1): Q^s 1 is 1 for
+    s = 0 and 0 otherwise; a lone generator goes to ``generator_action``; an
     all-even monomial m^2 takes the square rule Q^{2s}(m^2) = (Q^s m)^2, with
     the odd operations zero; any other monomial peels one copy u of its first
     generator by the Cartan formula Q^s(u v) = sum Q^i u Q^{s-i} v, where
     instability makes Q^i u vanish below i = |u|.  Values are memoized per
     (s, monomial) in ``_mono_cache``.
 
-    Subclasses supply the algebra (``zero``, ``one``, ``is_zero``,
-    ``sum_products`` of ``(left, right)`` pairs, ``square`` and ``degrees``,
-    the sorted degrees present in a value), ``generator_degree`` and
-    ``generator_action``: ``_Engine`` for the free algebra on operation
-    words, ``homology.DLModel`` for the models.
+    Only the empty monomial is false; subclasses read the rest through four
+    primitives: ``mono_degree``, ``lone_generator`` (the generator when the
+    monomial is one generator to the first power, else None), ``halve`` (the
+    half of an all-even monomial, else None) and ``peel`` (one copy of the
+    first generator, its degree, the rest).  They also supply ``zero``, ``one``,
+    ``is_zero``, ``sum_products`` of ``(left, right)`` pairs, ``square``,
+    ``degrees`` (the sorted degrees present in a value) and
+    ``generator_action``: ``_Engine`` on sorted (word, exponent) tuples and
+    ``homology.DLModel`` on packed keys.
     """
-
-    def mono_degree(self, mono):
-        return sum(self.generator_degree(g) * e for g, e in mono)
 
     def apply_mono(self, s, mono):
         if not mono:
@@ -105,20 +105,16 @@ class CartanExtension:
         result = self._mono_cache.get(key)
         if result is not None:
             return result
-        if len(mono) == 1 and mono[0][1] == 1:
-            result = self.generator_action(s, mono[0][0])
-        elif all(e % 2 == 0 for _, e in mono):
-            if s % 2:
-                result = self.zero
-            else:
-                half = tuple((g, e // 2) for g, e in mono)
-                result = self.square(self.apply_mono(s // 2, half))
+        generator = self.lone_generator(mono)
+        if generator is not None:
+            result = self.generator_action(s, generator)
+        elif (half := self.halve(mono)) is not None:
+            result = self.zero if s % 2 else self.square(self.apply_mono(s // 2, half))
         else:
-            g, e = mono[0]
-            rest = tuple(m for m in ((g, e - 1),) + mono[1:] if m[1] > 0)
+            first, first_degree, rest = self.peel(mono)
             pairs = []
-            for i in range(self.generator_degree(g), s - self.mono_degree(rest) + 1):
-                left = self.apply_mono(i, ((g, 1),))
+            for i in range(first_degree, s - self.mono_degree(rest) + 1):
+                left = self.apply_mono(i, first)
                 if self.is_zero(left):
                     continue
                 right = self.apply_mono(s - i, rest)
@@ -149,6 +145,24 @@ class _Engine(CartanExtension):
     def generator_degree(self, word):
         ops, g = word
         return self.ctx.degree(g) + sum(ops)
+
+    # -- the Cartan primitives on sorted (word, exponent) tuples ----------------
+
+    def mono_degree(self, mono):
+        return sum(self.generator_degree(w) * e for w, e in mono)
+
+    @staticmethod
+    def lone_generator(mono):
+        return mono[0][0] if len(mono) == 1 and mono[0][1] == 1 else None
+
+    @staticmethod
+    def halve(mono):
+        return None if any(e % 2 for _, e in mono) else tuple((w, e // 2) for w, e in mono)
+
+    def peel(self, mono):
+        w, e = mono[0]
+        rest = mono[1:] if e == 1 else ((w, e - 1),) + mono[1:]
+        return ((w, 1),), self.generator_degree(w), rest
 
     def degrees(self, p):
         return sorted({self.mono_degree(m) for m in p})

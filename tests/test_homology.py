@@ -21,7 +21,7 @@ from dlforge.homology import (
     map_p,
     mu_homology,
 )
-from dlforge.polynomial import GradedPolynomial
+from dlforge.polynomial import FIELD_BITS, GradedPolynomial
 from dlforge.relations import Y_DEFINITIONS, qbar, suspended_relation, y_context
 from dlforge.rewriting import adem_step, normalize
 from dlforge.suites import PRIDDY_VALUES, STEINBERGER_VALUES, run_suite, statement_sides
@@ -302,7 +302,63 @@ def test_commute_sweep_does_a_pinned_number_of_products(monkeypatch):
     ok, failures = check_dl_compatibility(24, 14, MUHomology(40), DualSteenrodAlgebra(40))
     assert ok, failures[:3]
     # no product builds an inverse component: graded_inverse enumerates them
-    assert len(calls) == 2668
+    assert len(calls) == 2009
+
+
+def test_commute_sweep_does_a_pinned_amount_of_work(monkeypatch):
+    # the monomial pairs the products visit, and one map_p of u and one of
+    # the sum of its Q^s u per swept monomial u
+    pairs, maps = [], []
+    mul, count_map = GradedPolynomial.__mul__, homology.map_p
+
+    def counted(a, b):
+        pairs.append(len(a.terms) * len(b.terms))
+        return mul(a, b)
+
+    def counted_map(*args):
+        maps.append(None)
+        return count_map(*args)
+
+    monkeypatch.setattr(GradedPolynomial, "__mul__", counted)
+    monkeypatch.setattr(homology, "map_p", counted_map)
+    M = MUHomology(40)
+    ok, failures = check_dl_compatibility(24, 14, M, DualSteenrodAlgebra(40))
+    assert ok, failures[:3]
+    assert sum(pairs) == 26958
+    assert len(maps) == 2 * len(M.monomials_up_to(14)) == 88
+
+
+def per_s_sweep(s_range, degree_range, source, target):
+    # the commute sweep with one map_p per (s, u), as it ran before it
+    # compared the sums over s; kept as an oracle for the failures list
+    failures = []
+    for u in source.monomials_up_to(degree_range):
+        image = map_p(u, source, target)
+        for s in range(s_range + 1):
+            lhs = map_p(source.q(s, u), source, target)
+            rhs = target.q(s, image)
+            if lhs != rhs:
+                failures.append((s, u, lhs, rhs))
+    return failures
+
+
+def test_commute_sweep_names_the_first_faulty_operation(monkeypatch):
+    # negative control: Q^4 b1 gains b3, which p sends to xi2^2.  b1 is the
+    # first swept monomial; through the Cartan and square rules the fault
+    # reaches 12 monomials, several of them at more than one s.
+    action = MUHomology.generator_action
+
+    def faulty(self, j, index):
+        value = action(self, j, index)
+        return value + self.b(3) if (j, index) == (4, 0) else value
+
+    monkeypatch.setattr(MUHomology, "generator_action", faulty)
+    M, A = MUHomology(40), DualSteenrodAlgebra(40)
+    ok, failures = check_dl_compatibility(24, 14, M, A)
+    assert not ok
+    assert failures[0][:2] == (4, M.b(1))
+    assert len(failures) == 50
+    assert failures == per_s_sweep(24, 14, M, A)
 
 
 def test_commute_sweep_fails_on_a_wrong_image(monkeypatch):
@@ -475,3 +531,141 @@ def test_inverse_components_match_across_caps():
         assert large._inverse_component(d).terms == small._inverse_component(d).terms
     with pytest.raises(ValueError):
         small._inverse_component(42)
+
+
+# -- the Cartan recursion on packed keys ----------------------------------------
+
+
+class TupleRecursion:
+    """DLModel's recursion before it worked on packed keys: unpack each
+    monomial and run the Cartan and square rules on sorted
+    (generator index, exponent) tuples.  Kept as an oracle; ``q`` is
+    replaced, so generator actions that call ``q`` use this route too."""
+
+    def __init__(self, max_degree):
+        super().__init__(max_degree)
+        self._tuple_cache = {}
+
+    def q(self, s, element):
+        return self.ring.sum(self.tuple_mono(s, self.ring.unpack(m)) for m in element.terms)
+
+    def tuple_mono(self, s, mono):
+        if not mono:
+            return self.one if s == 0 else self.zero
+        key = (s, mono)
+        if key in self._tuple_cache:
+            return self._tuple_cache[key]
+        degrees = self.ring.degrees
+        if len(mono) == 1 and mono[0][1] == 1:
+            result = self.generator_action(s, mono[0][0])
+        elif all(e % 2 == 0 for _, e in mono):
+            if s % 2:
+                result = self.zero
+            else:
+                half = self.tuple_mono(s // 2, tuple((g, e // 2) for g, e in mono))
+                result = half * half
+        else:
+            g, e = mono[0]
+            rest = tuple(m for m in ((g, e - 1),) + mono[1:] if m[1] > 0)
+            rest_degree = sum(degrees[h] * f for h, f in rest)
+            pairs = []
+            for i in range(degrees[g], s - rest_degree + 1):
+                left = self.tuple_mono(i, ((g, 1),))
+                if left.is_zero():
+                    continue
+                right = self.tuple_mono(s - i, rest)
+                if not right.is_zero():
+                    pairs.append((left, right))
+            result = self.ring.sum_products(pairs)
+        self._tuple_cache[key] = result
+        return result
+
+
+class TupleMU(TupleRecursion, MUHomology):
+    pass
+
+
+class TupleDual(TupleRecursion, DualSteenrodAlgebra):
+    pass
+
+
+ORACLES = [(MUHomology, TupleMU), (DualSteenrodAlgebra, TupleDual)]
+
+
+def packed_mismatches(model, oracle, pairs):
+    """The (s, u) whose packed Q^s u differs from the tuple route's."""
+    bad = []
+    for s, u in pairs:
+        try:
+            got = model.q(s, u).terms
+        except RecursionError:  # a recursion that never bottoms out
+            got = None
+        if got != oracle.q(s, u).terms:
+            bad.append((s, u))
+    return bad
+
+
+@pytest.mark.parametrize("cls, oracle", ORACLES, ids=["h-mu", "dual-steenrod"])
+def test_packed_recursion_matches_the_tuple_recursion(cls, oracle):
+    model, tuples = cls(40), oracle(40)
+    pairs = [(s, u) for u in model.monomials_up_to(14) for s in range(25)]
+    assert packed_mismatches(model, tuples, pairs) == []
+    # both routes visit the same (s, monomial) pairs
+    assert len(model._mono_cache) == len(tuples._tuple_cache)
+
+
+@pytest.mark.parametrize("cls, oracle", ORACLES, ids=["h-mu", "dual-steenrod"])
+def test_packed_recursion_matches_the_tuple_recursion_at_cap_128(cls, oracle):
+    model = cls(128)
+    rng = random.Random(128)
+    basis = model.monomials_up_to(24)
+    pairs = [(s, u) for u in rng.sample(basis, 12) for s in rng.sample(range(60), 5)]
+    assert packed_mismatches(model, oracle(128), pairs) == []
+
+
+def test_packed_recursion_fails_with_a_wrong_half(monkeypatch):
+    # negative control: halve returns the key unshifted
+    monkeypatch.setattr(homology.DLModel, "halve", lambda self, mono: None if mono & self._low_bits else mono)
+    model = MUHomology(40)
+    pairs = [(s, u) for u in model.monomials_up_to(8) for s in range(13)]
+    assert packed_mismatches(model, TupleMU(40), pairs)
+
+
+@pytest.mark.parametrize("model", [mu_homology(), dual_steenrod()], ids=["h-mu", "dual-steenrod"])
+def test_packed_primitives_match_their_tuple_forms(model):
+    ring = model.ring
+    for element in model.monomials_up_to(40):
+        (mono,) = element.terms
+        pairs = ring.unpack(mono)
+        assert model.mono_degree(mono) == sum(ring.degrees[i] * e for i, e in pairs)
+        lone = pairs[0][0] if len(pairs) == 1 and pairs[0][1] == 1 else None
+        assert model.lone_generator(mono) == lone
+        even = all(e % 2 == 0 for _, e in pairs)
+        assert model.halve(mono) == (ring.pack((i, e // 2) for i, e in pairs) if even else None)
+        i, e = pairs[0]
+        rest = pairs[1:] if e == 1 else ((i, e - 1),) + pairs[1:]
+        assert model.peel(mono) == (ring.pack(((i, 1),)), ring.degrees[i], ring.pack(rest))
+
+
+@pytest.mark.parametrize("model", [mu_homology(), dual_steenrod()], ids=["h-mu", "dual-steenrod"])
+def test_frobenius_square_matches_the_product(model):
+    rng = random.Random(2)
+    basis = model.monomials_up_to(18)
+    for _ in range(40):
+        p = model.ring.sum(rng.sample(basis, rng.randint(0, 12)))
+        # a copy, so the product takes the XOR pair loop
+        copy = GradedPolynomial(p.ring, dict(p.terms))
+        assert model.square(p) == copy * copy
+    # the largest exponent Frobenius doubles: the square fills its field
+    top = dual_steenrod().xi(1, (1 << FIELD_BITS - 2) - 1)
+    assert dual_steenrod().square(top) == top * top
+
+
+def test_frobenius_square_overflows_like_the_product():
+    # an exponent field (xi1^(2^30)) or the degree field (b1^(2^29), of
+    # degree 2^30) at 2^(FIELD_BITS - 2) would double into its guard bit
+    A, M = dual_steenrod(), mu_homology()
+    big = 1 << FIELD_BITS - 2
+    for model, element in ((A, A.xi(1, big)), (M, M.ring.gen("b1", big // 2))):
+        with pytest.raises(OverflowError):
+            model.square(element)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlforge import formal_groups, polynomial
 from dlforge.homology import DualSteenrodAlgebra, MUHomology
 from dlforge.polynomial import (
     FIELD_LIMIT,
@@ -23,6 +24,7 @@ from dlforge.polynomial import (
     graded_inverse,
 )
 from dlforge.series import series_ring, signature
+from dlforge.suites import run_suite
 
 
 def small_ring():
@@ -493,6 +495,67 @@ def test_sums_and_scalings_match_the_make_route(which):
             c = sc.coerce(c)
             assert x.scale(c).terms == ring.make({m: sc.mul(v, c) for m, v in x.terms.items()}).terms
             assert ring.scalar(c).terms == ring.make({0: c}).terms
+
+
+def test_an_integral_rational_is_an_int():
+    half = Fraction(1, 2)
+    assert type(QQ.add(half, half)) is int and QQ.add(half, half) == 1
+    assert type(QQ.mul(half, 4)) is int and QQ.mul(half, 4) == 2
+    assert QQ.inv(3) == Fraction(1, 3)
+    assert type(QQ.inv(1)) is int and QQ.inv(1) == 1
+    assert type(QQ.inv(half)) is int and QQ.inv(half) == 2
+    assert type(QQ.coerce(Fraction(6, 3))) is int and QQ.coerce(0.5) == half
+    ring = rational_ring()
+    one = ring.scalar(half) + ring.scalar(half)
+    assert one == ring.one() and type(one.constant_term()) is int
+    assert str(ring.make({ring.pack(((0, 1),)): Fraction(-6, 2)})) == "-3 u"
+
+
+def denormal_coefficients_of_a_cold_run(monkeypatch):
+    """The coefficients of every QQ element built by a cold ``run_suite("all")``
+    (the series and pipeline memos emptied) that are a float or a Fraction
+    with denominator 1, and the number of QQ elements built."""
+    memos = (
+        formal_groups._appendix_pipeline,
+        formal_groups.bracket2_series,
+        formal_groups.LogarithmPreset.exp_series,
+    )
+    built = []
+    init = GradedPolynomial.__init__
+
+    def recording(self, ring, terms):
+        init(self, ring, terms)
+        if ring.scalars is QQ:
+            built.append(self)
+
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(GradedPolynomial, "__init__", recording)
+    try:
+        run_suite("all", {"scrub_timing": True})
+    finally:
+        monkeypatch.setattr(GradedPolynomial, "__init__", init)
+        for memo in memos:
+            memo.cache_clear()  # keep no value built under a monkeypatch
+    bad = [
+        c
+        for p in built
+        for c in p.terms.values()
+        if isinstance(c, float) or (isinstance(c, Fraction) and c.denominator == 1)
+    ]
+    return bad, len(built)
+
+
+def test_a_cold_run_builds_every_rational_in_normal_form(monkeypatch):
+    bad, built = denormal_coefficients_of_a_cold_run(monkeypatch)
+    assert built > 1000 and bad == []
+
+
+def test_the_normal_form_check_sees_a_missing_normalization(monkeypatch):
+    # negative control: integral results stay Fractions
+    monkeypatch.setattr(polynomial, "_rational", lambda v: v)
+    bad, _ = denormal_coefficients_of_a_cold_run(monkeypatch)
+    assert bad
 
 
 def test_the_limit_word_rejects_negative_or_misplaced_orders():
