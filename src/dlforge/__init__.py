@@ -62,12 +62,8 @@ from .formal_groups import (
     verify_isogeny_derivative,
 )
 from .hopf_ring import (
-    CoeffClass,
-    HopfClass,
     IdentificationError,
     ImportedRule,
-    PSeries,
-    SuspensionImage,
     import_pseries,
     qhat_b1,
     qhat_on_hurewicz,

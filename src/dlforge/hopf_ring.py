@@ -12,27 +12,33 @@ the c_i being the coefficients of the power operation P(x) = sum c_i a^i
 computed by the formal-group pipeline.  The composite of those rules
 with the suspension to the dual Steenrod algebra is the chain checked by
 ``verify_gotcha_chain``.
+
+Every class of the chain is an F2-sum of monomials, so each is a GF2
+``GradedPolynomial``, in a ring built from the symbols [x1], ..., [xN]
+of degree 2n that the identification reaches:
+
+- an imported series P(x) is a polynomial in the symbols and ``alpha``
+- a quotient class [c] o b1^{o m} is the monomial c b1^m (b1^m alone for
+  the unit coefficient [1])
+- a suspension class is a sum of generators ``sigma x<n>``
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .formal_groups import PowerOpResult, appendix_pipeline
-from .polynomial import binomial_mod2
+from .polynomial import GF2, Generator, PolynomialRing, binomial_mod2
 
 __all__ = [
-    "CoeffClass",
-    "HopfClass",
-    "PSeries",
-    "SuspensionImage",
     "IdentificationError",
     "import_pseries",
     "qhat_on_hurewicz",
     "qhat_b1",
     "suspend_to_dual",
+    "format_quotient_class",
     "verify_gotcha_chain",
     "TRANSLATION_RULE",
     "STABILITY_RULE",
@@ -45,177 +51,40 @@ class IdentificationError(KeyError):
     """A series coefficient has no assigned image among the symbols."""
 
 
-@dataclass(frozen=True)
-class CoeffClass:
-    """A coefficient symbol: zero, the unit, or a generator x_n mod
-    decomposables.  A product of positive-degree symbols is decomposable,
-    so ``import_pseries`` drops it."""
-
-    kind: str
-    n: int = 0
-
-    @classmethod
-    def zero(cls):
-        return cls("zero")
-
-    @classmethod
-    def one(cls):
-        return cls("one")
-
-    @classmethod
-    def x(cls, n):
-        if n < 1:
-            raise ValueError("generators x_n need n >= 1")
-        return cls("gen", n)
-
-    @property
-    def degree(self):
-        if self.kind == "gen":
-            return 2 * self.n
-        return 0
-
-    def is_zero(self):
-        return self.kind == "zero"
-
-    def __str__(self):
-        if self.kind == "zero":
-            return "0"
-        if self.kind == "one":
-            return "[1]"
-        return "[x%d]" % self.n
+@lru_cache(maxsize=None)
+def _ring(generators):
+    """The GF2 ring on a tuple of generators, built once per tuple so that
+    classes from separate calls compare and add; the chain needs three."""
+    return PolynomialRing(GF2, generators)
 
 
-class HopfClass:
-    """An F2-sum of classes [c] o b1^{o m}; zero coefficients collapse."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        self.parts = frozenset((c, m) for c, m in parts if not c.is_zero())
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def single(cls, coeff, m):
-        if m < 0:
-            raise ValueError("b1 exponents are nonnegative")
-        return cls(((coeff, m),))
-
-    def __eq__(self, other):
-        return isinstance(other, HopfClass) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def is_zero(self):
-        return not self.parts
-
-    def __str__(self):
-        if not self.parts:
-            return "0"
-        bits = []
-        for c, m in sorted(self.parts, key=lambda cm: (cm[0].degree + 2 * cm[1], str(cm[0]))):
-            if m == 0:
-                bits.append(str(c))
-            elif m == 1:
-                bits.append("%s o b1" % c)
-            else:
-                bits.append("%s o b1^o%d" % (c, m))
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return "<hopf %s>" % self
-
-
-class PSeries:
-    """Coefficients of a power-operation expansion P(x) = sum c_i alpha^i
-    for a source symbol of even degree, all taken mod decomposables."""
-
-    __slots__ = ("source_name", "source_degree", "coefficients")
-
-    def __init__(self, source_name, source_degree, coefficients):
-        if source_degree % 2:
-            raise ValueError("sources here have even degree")
-        self.source_name = source_name
-        self.source_degree = source_degree
-        clean = {}
-        for i, c in dict(coefficients).items():
-            if c.is_zero():
-                continue
-            want = 2 * source_degree + 2 * i
-            if c.degree != want:
-                raise ValueError(
-                    "coefficient %s of alpha^%d has degree %d, expected %d"
-                    % (c, i, c.degree, want)
-                )
-            clean[i] = c
-        self.coefficients = clean
-
-    def coefficient(self, i):
-        return self.coefficients.get(i, CoeffClass.zero())
-
-    def __str__(self):
-        if not self.coefficients:
-            return "P(%s) = 0" % self.source_name
-        bits = []
-        for i in sorted(self.coefficients):
-            c = self.coefficients[i]
-            bits.append("%s alpha^%d" % (c, i) if i else str(c))
-        return "P(%s) = %s" % (self.source_name, " + ".join(bits))
-
-
-class SuspensionImage:
-    """An F2-sum of suspension classes sigma x_n in the dual algebra."""
-
-    __slots__ = ("generators",)
-
-    def __init__(self, generators=()):
-        self.generators = frozenset(generators)
-
-    def __add__(self, other):
-        return SuspensionImage(self.generators ^ other.generators)
-
-    def __eq__(self, other):
-        return isinstance(other, SuspensionImage) and self.generators == other.generators
-
-    def __hash__(self):
-        return hash(self.generators)
-
-    def is_zero(self):
-        return not self.generators
-
-    def __str__(self):
-        if not self.generators:
-            return "0"
-        return " + ".join("sigma x%d" % n for n in sorted(self.generators))
-
-    def __repr__(self):
-        return "<suspension %s>" % self
+def _quotient_ring(symbols):
+    """The ring of the classes [c] o b1^{o m}: the symbols, then b1."""
+    return _ring(tuple(symbols) + (Generator("b1", 2),))
 
 
 def import_pseries(result, identification=None):
-    """Convert a pipeline result into a PSeries of coefficient symbols.
+    """The reduced series P(x_n) = sum c_i alpha^i of a pipeline result, as
+    a GF2 polynomial in the symbols and ``alpha``.
 
-    The source symbol is x<n> for the pipeline's n.  ``identification``
-    maps coefficient-ring generator names to ``CoeffClass`` symbols; a
-    surviving generator without an image is an ``IdentificationError``.
-    Monomials with two or more positive-degree factors (or proper powers)
-    drop as decomposables, and even scalars drop mod 2; a non-integral
-    scalar is an ``ArithmeticError``.
+    The source is x_n for the pipeline's n.  ``identification`` maps
+    coefficient-ring generator names to the m of their symbol [x_m], and
+    the ring holds [x1] up to the largest m.  A surviving generator without
+    an image is an ``IdentificationError``.  An image of the wrong degree is
+    a ``ValueError``: the alpha^i coefficient has degree 2 |x_n| + 2i, that
+    is 4n + 2i.  Monomials with two or more positive-degree factors (or
+    proper powers) drop as decomposables, and even scalars drop mod 2; a
+    non-integral scalar is an ``ArithmeticError``.
     """
-    if isinstance(result, PowerOpResult):
-        series = result.reduced
-        n = result.n
-    else:
+    if not isinstance(result, PowerOpResult):
         raise TypeError("import_pseries expects a PowerOpResult")
     identification = identification or {}
-    ring = series.ring
-    coefficients = {}
-    for vec, poly in series.terms.items():
-        (i,) = vec
-        total = CoeffClass.zero()
+    top = max(identification.values(), default=0)
+    symbols = tuple(Generator("[x%d]" % m, 2 * m) for m in range(1, top + 1))
+    out = _ring(symbols + (Generator("alpha", 0),))
+    ring = result.reduced.ring
+    terms = []
+    for (i,), poly in result.reduced.terms.items():
         for mono, scalar in poly.terms.items():
             if scalar.denominator != 1:
                 raise ArithmeticError(
@@ -236,41 +105,69 @@ def import_pseries(result, identification=None):
                 raise IdentificationError(
                     "no identification provided for coefficient generator %r" % name
                 )
-            image = identification[name]
-            total = CoeffClass.zero() if total == image else (image if total.is_zero() else total)
-        if not total.is_zero():
-            coefficients[i] = total
-    return PSeries("x%d" % n, 2 * n, coefficients)
+            m = identification[name]
+            if m != 2 * result.n + i:
+                raise ValueError(
+                    "coefficient [x%d] of alpha^%d has degree %d, expected %d"
+                    % (m, i, 2 * m, 4 * result.n + 2 * i)
+                )
+            terms.append(out.monomial({"[x%d]" % m: 1, "alpha": i}))
+    return out.sum(terms)
 
 
-def qhat_on_hurewicz(k, p):
-    """Qhat^{2k} on [1] # ([x] o b1^{o n}) in the quotient: the class
-    [c_{k-n}] o b1^{o (k+n)}, or zero when k < n."""
-    n = p.source_degree // 2
-    if k < n:
-        return HopfClass.zero()
-    return HopfClass.single(p.coefficient(k - n), k + n)
+def qhat_on_hurewicz(k, n, p):
+    """Qhat^{2k} on [1] # ([x_n] o b1^{o n}) in the quotient, read off the
+    imported series ``p`` of P(x_n): the class [c_{k-n}] o b1^{o (k+n)},
+    zero when k < n."""
+    ring = p.ring
+    symbols = [g for g in ring.generators if g.name != "alpha"]
+    quotient = _quotient_ring(symbols)
+    alpha = ring.index["alpha"]
+    part = ring.make({m: 1 for m in p.terms if dict(ring.unpack(m)).get(alpha, 0) == k - n})
+    images = {g.name: quotient.gen(g.name) for g in symbols}
+    images["alpha"] = quotient.gen("b1")
+    return part.map_generators(quotient, images) * quotient.gen("b1", 2 * n)
 
 
 def qhat_b1(s):
-    """Qhat^s b1 = b1 o b_{s/2}; in the quotient only s = 2 survives."""
+    """Qhat^s b1 = b1 o b_{s/2}; in the quotient only s = 2 survives, as
+    [1] o b1^{o 2}."""
     if s % 2:
         raise ValueError("Qhat^%d b1 is not determined by the even series" % s)
     if s < 2:
         raise ValueError("the series for Qhat on b1 starts at s = 2")
-    if s == 2:
-        return HopfClass.single(CoeffClass.one(), 2)
-    return HopfClass.zero()  # b_{s/2} with s/2 >= 2 dies in the quotient
+    quotient = _quotient_ring(())
+    # b_{s/2} with s/2 >= 2 dies in the quotient
+    return quotient.gen("b1", 2) if s == 2 else quotient.zero()
 
 
 def suspend_to_dual(h):
-    """Suspension to the dual algebra: [x_n] o b1^{o m} goes to sigma x_n;
-    unit and zero coefficients die."""
-    out = SuspensionImage()
-    for c, m in h.parts:
-        if c.kind == "gen":
-            out = out + SuspensionImage({c.n})
-    return out
+    """Suspension to the dual algebra: [x_n] o b1^{o m} goes to sigma x_n.
+
+    b1 maps to 1, so a unit coefficient leaves a constant, which drops
+    with the decomposables.
+    """
+    symbols = [g for g in h.ring.generators if g.name != "b1"]
+    target = _ring(tuple(Generator("sigma x%d" % (g.degree // 2), g.degree + 1) for g in symbols))
+    images = {g.name: target.gen(t.name) for g, t in zip(symbols, target.generators)}
+    images["b1"] = target.one()
+    return h.map_generators(target, images).indecomposable_part()
+
+
+def format_quotient_class(h):
+    """The text of a quotient class: [c] o b1^o<m> per term, [1] for the
+    unit coefficient."""
+    ring = h.ring
+    b1 = ring.index["b1"]
+    bits = []
+    for mono in sorted(h.terms, key=lambda m: (ring.monomial_degree(m), m)):
+        powers = dict(ring.unpack(mono))
+        m = powers.pop(b1, 0)
+        c = " ".join(
+            ring.generators[i].name + ("^%d" % e if e > 1 else "") for i, e in powers.items()
+        )
+        bits.append((c or "[1]") + ("" if m == 0 else " o b1" if m == 1 else " o b1^o%d" % m))
+    return " + ".join(bits) or "0"
 
 
 class ImportedRule:
@@ -331,7 +228,7 @@ def verify_gotcha_chain(k=5, identify=True):
     Returns a dict of ordered step records, each with a value string, an
     ok flag where something is asserted, and an ``imported`` flag on the
     rules used without derivation.  With ``identify`` off the chain stops
-    at the raw series, surfacing it instead of the endpoint.
+    at the raw series and returns it under ``raw`` in place of an endpoint.
     """
     steps = []
     result = appendix_pipeline(2)
@@ -354,14 +251,13 @@ def verify_gotcha_chain(k=5, identify=True):
                 "statement": "identification v3 -> x7 disabled; surfacing the raw series",
             }
         )
-        return {"steps": steps, "endpoint": None}
-    identification = {"v3": CoeffClass.x(7)}
-    pseries = import_pseries(result, identification)
+        return {"steps": steps, "endpoint": None, "raw": result.raw}
+    pseries = import_pseries(result, {"v3": 7})
     steps.append(
         {
             "id": "identification",
-            "value": str(pseries),
-            "ok": pseries.coefficient(3) == CoeffClass.x(7),
+            "value": "P(x%d) = %s" % (result.n, pseries),
+            "ok": pseries == pseries.ring.monomial({"[x7]": 1, "alpha": 3}),
             "imported": True,
             "statement": "v3 and x7 agree mod decomposables up to an odd scalar,"
             " which is 1 over F2",
@@ -376,11 +272,11 @@ def verify_gotcha_chain(k=5, identify=True):
             "statement": TRANSLATION_RULE.statement,
         }
     )
-    qhat = qhat_on_hurewicz(k, pseries)
+    qhat = qhat_on_hurewicz(k, result.n, pseries)
     steps.append(
         {
             "id": "qhat-k%d" % k,
-            "value": str(qhat),
+            "value": format_quotient_class(qhat),
             "ok": True,
             "imported": False,
             "statement": "Qhat^{2k} reads off the alpha^{k-n} coefficient"

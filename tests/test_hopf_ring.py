@@ -9,80 +9,108 @@ from dlforge.hopf_ring import (
     RW_MAIN_RELATION,
     STABILITY_RULE,
     TRANSLATION_RULE,
-    CoeffClass,
-    HopfClass,
     IdentificationError,
-    PSeries,
-    SuspensionImage,
+    format_quotient_class,
     import_pseries,
     qhat_b1,
     qhat_on_hurewicz,
     suspend_to_dual,
     verify_gotcha_chain,
 )
+from dlforge.polynomial import QQ, Generator, PolynomialRing
+from dlforge.series import TruncatedSeries, signature
 from dlforge.suites import run_suite
+
+# a coefficient ring with two generators in degree 14 and one in degree 12
+COEFFS = PolynomialRing(QQ, [Generator("u", 14), Generator("w", 14), Generator("a", 12)])
+
+
+def result_with(terms):
+    """A pipeline result for the source x2 whose reduced series is
+    sum c_i alpha^i, from an ``{i: c_i}`` mapping over ``COEFFS``."""
+    sig = signature(("alpha",), (8,))
+    reduced = TruncatedSeries.from_terms(sig, COEFFS, {(i,): c for i, c in terms.items()})
+    return PowerOpResult(n=2, reduced=reduced)
+
+
+def appendix_series():
+    return import_pseries(appendix_pipeline(2, preset("appendix-z-v3")), {"v3": 7})
 
 
 # -- coefficient classes ----------------------------------------------------
 
 
 def test_coeff_class_degrees():
-    assert CoeffClass.zero().degree == 0
-    assert CoeffClass.one().degree == 0
-    assert CoeffClass.x(7).degree == 14
+    # the symbols [x1] .. [x7], up to the largest identified one, have degree 2n
+    ring = appendix_series().ring
+    assert [g.name for g in ring.generators] == ["[x%d]" % n for n in range(1, 8)] + ["alpha"]
+    assert [g.degree for g in ring.generators] == [2 * n for n in range(1, 8)] + [0]
 
 
 def test_coeff_class_validation():
+    # there is no symbol [x0]: its degree 0 is never that of a coefficient
     with pytest.raises(ValueError):
-        CoeffClass.x(0)
+        import_pseries(appendix_pipeline(2, preset("appendix-z-v3")), {"v3": 0})
 
 
 def test_hopf_class_drops_zero_coefficients():
-    h = HopfClass.single(CoeffClass.zero(), 4)
-    assert h.is_zero()
+    p = appendix_series()
+    assert qhat_on_hurewicz(2, 2, p).is_zero()  # the alpha^0 coefficient is zero
+    h = qhat_on_hurewicz(5, 2, p)
+    assert not h.is_zero() and (h + h).is_zero()
 
 
 def test_hopf_class_string_form():
-    h = HopfClass.single(CoeffClass.x(7), 7)
-    assert str(h) == "[x7] o b1^o7"
+    h = qhat_on_hurewicz(5, 2, appendix_series())
+    assert format_quotient_class(h) == "[x7] o b1^o7"
+    ring = h.ring
+    mixed = h + ring.gen("[x2]") * ring.gen("b1") + ring.gen("b1", 2)
+    assert format_quotient_class(mixed) == "[1] o b1^o2 + [x2] o b1 + [x7] o b1^o7"
+    assert format_quotient_class(ring.gen("[x3]")) == "[x3]"
+    assert format_quotient_class(ring.zero()) == "0"
+    assert str(appendix_series()) == "[x7] alpha^3"
+    assert str(suspend_to_dual(h)) == "sigma x7"
 
 
 # -- coefficient series -------------------------------------------------------
 
 
 def test_pseries_degree_discipline():
-    # c_i must have degree 2 * source_degree + 2i
-    cs = {0: CoeffClass.x(2), 1: CoeffClass.x(3), 2: CoeffClass.x(4)}
-    series = PSeries("x2", 2, cs)
-    assert series.coefficient(1) == CoeffClass.x(3)
-    assert series.coefficient(9) == CoeffClass.zero()
+    # the alpha^i coefficient of P(x2) has degree 2 * 4 + 2i; [x3] in degree
+    # 6 at alpha^3 is rejected whichever generator it comes from
+    result = result_with({3: COEFFS.gen("u") + COEFFS.gen("w")})
+    for identification in ({"u": 7, "w": 3}, {"u": 3, "w": 7}):
+        with pytest.raises(ValueError):
+            import_pseries(result, identification)
+    result = result_with({2: COEFFS.gen("a"), 3: COEFFS.gen("u")})
+    assert str(import_pseries(result, {"a": 6, "u": 7})) == "[x6] alpha^2 + [x7] alpha^3"
     with pytest.raises(ValueError):
-        PSeries("x2", 2, {0: CoeffClass.x(5)})
-    with pytest.raises(ValueError):
-        PSeries("x3", 3, {})
+        import_pseries(result, {"a": 7, "u": 7})
 
 
 # -- importing pipeline output --------------------------------------------------
 
 
 def test_import_pseries_identifies_the_generator():
-    result = appendix_pipeline(2, preset("appendix-z-v3"))
-    series = import_pseries(result, identification={"v3": CoeffClass.x(7)})
-    assert series.source_degree == 4  # the n = 2 source is a degree-4 sphere class
-    assert series.coefficient(3) == CoeffClass.x(7)
-    assert series.coefficient(0) == CoeffClass.zero()
+    p = appendix_series()
+    assert p == p.ring.monomial({"[x7]": 1, "alpha": 3})
+    # two generators with one image cancel mod 2
+    result = result_with({3: COEFFS.gen("u") + COEFFS.gen("w")})
+    assert import_pseries(result, {"u": 7, "w": 7}).is_zero()
 
 
 def test_import_pseries_drops_even_scalars():
-    result = appendix_pipeline(1, preset("additive"))
-    series = import_pseries(result)
-    assert not series.coefficients
+    assert import_pseries(appendix_pipeline(1, preset("additive"))).is_zero()
+    doubled = result_with({3: COEFFS.gen("u").scale(2), 2: COEFFS.gen("a").scale(-6)})
+    assert import_pseries(doubled).is_zero()
 
 
 def test_import_pseries_rejects_unidentified_generators():
     result = appendix_pipeline(2, preset("appendix-z-v3"))
     with pytest.raises(IdentificationError):
         import_pseries(result, identification={})
+    with pytest.raises(IdentificationError):
+        import_pseries(result_with({3: COEFFS.scalar(1)}), {"u": 7})
 
 
 def test_import_pseries_rejects_a_non_integral_coefficient():
@@ -90,22 +118,23 @@ def test_import_pseries_rejects_a_non_integral_coefficient():
     result = appendix_pipeline(2, preset("appendix-z-v3"))
     halved = PowerOpResult(n=2, reduced=result.reduced.scale(Fraction(3, 2)))
     with pytest.raises(ArithmeticError):
-        import_pseries(halved, identification={"v3": CoeffClass.x(7)})
+        import_pseries(halved, identification={"v3": 7})
 
 
 # -- operations in the quotient ---------------------------------------------------
 
 
 def test_qhat_on_hurewicz_shifts_the_coefficient():
-    p = PSeries("x2", 4, {3: CoeffClass.x(7), 2: CoeffClass.x(6)})
-    assert qhat_on_hurewicz(5, p) == HopfClass.single(CoeffClass.x(7), 7)
-    assert qhat_on_hurewicz(4, p) == HopfClass.single(CoeffClass.x(6), 6)
-    assert qhat_on_hurewicz(1, p).is_zero()  # k below the Hurewicz weight
-    assert qhat_on_hurewicz(2, p) == HopfClass.single(p.coefficient(0), 4)
+    p = import_pseries(result_with({2: COEFFS.gen("a"), 3: COEFFS.gen("u")}), {"a": 6, "u": 7})
+    k5 = qhat_on_hurewicz(5, 2, p)
+    assert k5 == k5.ring.monomial({"[x7]": 1, "b1": 7})
+    assert format_quotient_class(qhat_on_hurewicz(4, 2, p)) == "[x6] o b1^o6"
+    assert qhat_on_hurewicz(1, 2, p).is_zero()  # k below the Hurewicz weight
+    assert qhat_on_hurewicz(2, 2, p).is_zero()  # no alpha^0 coefficient
 
 
 def test_qhat_b1_rules():
-    assert str(qhat_b1(2)) == "[1] o b1^o2"
+    assert format_quotient_class(qhat_b1(2)) == "[1] o b1^o2"
     for s in (4, 6, 8, 12):
         assert qhat_b1(s).is_zero(), s
     for s in (1, 3, 5):
@@ -116,17 +145,19 @@ def test_qhat_b1_rules():
 
 
 def test_suspension_to_dual_kills_unit_multiples():
-    gen = HopfClass.single(CoeffClass.x(7), 7)
-    unit = HopfClass.single(CoeffClass.one(), 3)
-    both = HopfClass(gen.parts | unit.parts)
+    gen = qhat_on_hurewicz(5, 2, appendix_series())
+    unit = gen.ring.gen("b1", 3)
     assert str(suspend_to_dual(gen)) == "sigma x7"
     assert suspend_to_dual(unit).is_zero()
-    assert suspend_to_dual(both) == suspend_to_dual(gen)
+    assert suspend_to_dual(gen + unit) == suspend_to_dual(gen)
+    assert suspend_to_dual(qhat_b1(2)).is_zero()
 
 
 def test_suspension_image_addition():
-    a = SuspensionImage(frozenset({7}))
-    b = SuspensionImage(frozenset({7, 2}))
+    ring = qhat_on_hurewicz(5, 2, appendix_series()).ring
+    a = suspend_to_dual(ring.gen("[x7]") * ring.gen("b1", 7))
+    b = suspend_to_dual(ring.gen("[x7]") + ring.gen("[x2]") * ring.gen("b1"))
+    assert str(b) == "sigma x2 + sigma x7"
     assert (a + a).is_zero()
     assert str(a + b) == "sigma x2"
 
@@ -140,6 +171,9 @@ def test_chain_reaches_the_suspension_class():
     assert all(step["ok"] for step in chain["steps"])
     ids = [step["id"] for step in chain["steps"]]
     assert ids == ["pipeline-n2", "identification", "hash-translation", "qhat-k5", "suspension"]
+    values = {step["id"]: step["value"] for step in chain["steps"]}
+    assert values["identification"] == "P(x2) = [x7] alpha^3"
+    assert values["qhat-k5"] == "[x7] o b1^o7"
 
 
 def test_chain_marks_imported_steps():
@@ -158,7 +192,9 @@ def test_chain_k4_dies_on_decomposable_coefficient():
 def test_chain_without_identification_surfaces_raw_series():
     chain = verify_gotcha_chain(identify=False)
     assert chain["endpoint"] is None
-    assert any("375 v3" in step["value"] for step in chain["steps"])
+    raw = chain["raw"]
+    assert dict(raw.terms) == {(3,): raw.ring.gen("v3").scale(375)}
+    assert chain["steps"][-1]["value"] == "disabled; raw series %s" % raw
 
 
 # -- imported rules --------------------------------------------------------------------

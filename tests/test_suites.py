@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from dlforge import formal_groups
+from dlforge import formal_groups, hopf_ring, suites
 from dlforge.suites import SUITE_NAMES, SuiteError, build_suite, emit_report, run_suite
 
 
@@ -118,6 +119,24 @@ PIPELINE_ROWS = (
     "hopf-chain/03-raw-surfaced",
     "xi5-chain/05-hopf-endpoint",
 )
+
+
+def test_a_scaled_raw_value_fails_both_raw_rows(monkeypatch):
+    # 1375 v3 alpha^3 still contains the text "375 v3", so only a comparison
+    # of the series tells it from the paper's value
+    real = formal_groups.appendix_pipeline
+
+    def scaled(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return formal_groups.PowerOpResult(**{**vars(r), "raw": r.raw.scale(Fraction(1375, 375))})
+
+    monkeypatch.setattr(suites, "appendix_pipeline", scaled)
+    monkeypatch.setattr(hopf_ring, "appendix_pipeline", scaled)
+    report = run_suite("all", {"scrub_timing": True})
+    rows = {row["id"]: row for row in report["checks"]}
+    failed = sorted(i for i, row in rows.items() if row["status"] != "pass")
+    assert failed == ["appendix/06-raw", "hopf-chain/03-raw-surfaced"]
+    assert "1375 v3" in rows["hopf-chain/03-raw-surfaced"]["witness"]
 
 
 def test_an_exhausted_reduction_budget_errors_exactly_the_pipeline_rows(monkeypatch):
