@@ -21,7 +21,7 @@ fix it and suspension neither shifts nor kills it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .polynomial import Value, _set
 
 __all__ = [
     "ExpressionSyntaxError",
@@ -117,61 +117,47 @@ def _check_gen_name(name):
 # -- AST ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenRef:
-    name: str
+class GenRef(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class QOp:
-    s: int
-    arg: "Node"
+class QOp(Value):
+    __slots__ = ("s", "arg")
+
+    def __init__(self, s, arg):
+        _set(self, "s", s)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(Value):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        _set(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "Node"
-    exp: int
+class Power(Value):
+    __slots__ = ("base", "exp")
+
+    def __init__(self, base, exp):
+        _set(self, "base", base)
+        _set(self, "exp", exp)
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
+class Sum(Value):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        _set(self, "terms", terms)
 
 
-def prod(*factors):
-    flat = []
-    for f in factors:
-        if isinstance(f, Product):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    if len(flat) == 1:
-        return flat[0]
-    return Product(tuple(flat))
-
-
-def add(*terms):
-    flat = []
-    for t in terms:
-        if isinstance(t, Sum):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    if len(flat) == 1:
-        return flat[0]
-    return Sum(tuple(flat))
-
-
-def power(base, exp):
-    if exp == 1:
-        return base
-    return Power(base, exp)
+def _joined(cls, nodes):
+    """One ``Product`` or ``Sum`` of ``nodes``; a node of class ``cls`` adds its own children."""
+    flat = [child for node in nodes for child in (node._key()[0] if isinstance(node, cls) else (node,))]
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
 
 
 # -- lexer / parser ---------------------------------------------------------
@@ -242,13 +228,13 @@ class _Parser:
         while self.peek()[0] == "+":
             self.take("+")
             terms.append(self.parse_term())
-        return add(*terms)
+        return _joined(Sum, terms)
 
     def parse_term(self):
         factors = [self.parse_factor()]
         while self.peek()[0] in ("NAME", "Q", "("):
             factors.append(self.parse_factor())
-        return prod(*factors)
+        return _joined(Product, factors)
 
     def parse_factor(self):
         node = self.parse_primary()
@@ -257,7 +243,7 @@ class _Parser:
             tok = self.take("INT")
             if tok[1] < 1:
                 raise ExpressionSyntaxError("powers must be positive", tok[2])
-            node = power(node, tok[1])
+            node = node if tok[1] == 1 else Power(node, tok[1])
         return node
 
     def parse_primary(self):

@@ -40,7 +40,6 @@ sorted ``(generator_index, exponent)`` tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -138,18 +137,44 @@ QQ = _QQ()
 FIELD_BITS = 32
 FIELD_LIMIT = 1 << (FIELD_BITS - 1)  # the first exponent or degree a field cannot hold
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Generator:
+class Value:
+    """An immutable value: its ``__slots__`` are its fields, compared and hashed as a tuple.
+    Each subclass's ``__init__`` sets them through ``_set``, since ``__setattr__`` raises."""
+
+    __slots__ = ()
+
+    def _key(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        pairs = map("%s=%r".__mod__, zip(self.__slots__, self._key()))
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(pairs))
+
+
+class Generator(Value):
     """A named algebra generator with an integer degree."""
 
-    name: str
-    degree: int
+    __slots__ = ("name", "degree")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name, degree):
+        if not name:
             raise ValueError("generator needs a name")
+        _set(self, "name", name)
+        _set(self, "degree", degree)
 
 
 def binomial_mod2(n, k):
@@ -472,12 +497,14 @@ class GradedPolynomial:
 
         ``images`` maps each generator name appearing in ``self`` to an
         element of ``target_ring``; scalars map along the identity.  A term
-        with a factor that maps to zero is skipped before any product.
+        with a factor that maps to zero is skipped before any product, and a
+        factor that maps to one costs no product.
         Each power of an image is built once per call, from a smaller one,
         and shared by every term that needs it.
         """
         unpack = self.ring.unpack
-        dead = 0  # the fields of the generators that map to zero
+        one = target_ring.scalars.one
+        dead = unit = 0  # the fields of the generators that map to zero, and to one
         powers = {}  # (generator index, exponent) -> power of its image
         # the OR of all keys has a nonzero field for each generator that occurs
         for i, _ in unpack(reduce(or_, self.terms, 0)):
@@ -489,13 +516,14 @@ class GradedPolynomial:
                 raise ValueError("elements of different rings")
             if image.is_zero():
                 dead |= _FIELD_MASK << FIELD_BITS * (i + 1)
-        one = target_ring.scalars.one
+            elif image.terms == {0: one}:
+                unit |= _FIELD_MASK << FIELD_BITS * (i + 1)
         terms = []
         for mono, coeff in self.terms.items():
             if mono & dead:
                 continue
             term = None
-            for i, e in unpack(mono):
+            for i, e in unpack(mono & ~unit):
                 p = _power(powers, i, e)
                 term = p if term is None else term * p
             if term is None:

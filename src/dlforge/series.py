@@ -33,7 +33,6 @@ for display and for readers outside the arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .polynomial import (
@@ -41,7 +40,9 @@ from .polynomial import (
     Generator,
     GradedPolynomial,
     PolynomialRing,
+    Value,
     _power,
+    _set,
 )
 
 __all__ = ["SeriesSignature", "TruncatedSeries", "series_ring", "signature"]
@@ -54,25 +55,25 @@ INVERSE_STEP_BUDGET = 2048
 COMPOSITIONAL_STEP_BUDGET = 256
 
 
-@dataclass(frozen=True)
-class SeriesSignature:
+class SeriesSignature(Value):
     """Variable layout and truncation discipline shared by compatible series."""
 
-    variables: tuple
-    weights: tuple
-    orders: tuple
-    total_order: int | None = None
+    __slots__ = ("variables", "weights", "orders", "total_order")
 
-    def __post_init__(self):
-        if len({*self.variables}) != len(self.variables):
+    def __init__(self, variables, weights, orders, total_order=None):
+        if len({*variables}) != len(variables):
             raise ValueError("duplicate series variables")
-        if len(self.weights) != len(self.variables) or len(self.orders) != len(self.variables):
+        if len(weights) != len(variables) or len(orders) != len(variables):
             raise ValueError("weights/orders must match the variable tuple")
         # a negative bound would borrow across the fields of the limit word
-        if any(o < 0 for o in self.orders) or any(w < 0 for w in self.weights):
+        if any(o < 0 for o in orders) or any(w < 0 for w in weights):
             raise ValueError("series orders and weights must be nonnegative")
-        if self.total_order is not None and self.total_order < 0:
+        if total_order is not None and total_order < 0:
             raise ValueError("total_order must be nonnegative")
+        _set(self, "variables", variables)
+        _set(self, "weights", weights)
+        _set(self, "orders", orders)
+        _set(self, "total_order", total_order)
 
     def index(self, var):
         try:

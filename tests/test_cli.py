@@ -193,3 +193,17 @@ def test_run_all_summary(tmp_path):
     assert report["overall"] == "pass"
     suites = {row["id"].split("/", 1)[0] for row in report["checks"]}
     assert len(suites) == 11
+
+
+def modules_loaded_by(code):
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    probe = code + "\nimport sys\nprint(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up time in every process; the value classes need neither
+    added = modules_loaded_by("import dlforge.cli") - modules_loaded_by("pass")
+    assert "dlforge.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()

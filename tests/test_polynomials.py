@@ -307,6 +307,35 @@ def test_map_generators_spends_no_product_on_a_term_that_maps_to_zero(monkeypatc
     assert calls == []
 
 
+def test_map_generators_spends_no_product_on_a_unit_image(monkeypatch):
+    source = small_ring()
+    target = small_ring()
+    a, b, c = (source.gen(n) for n in "abc")
+    x = a**7 * c + a**3 * b + a**5
+    images = {"a": target.one(), "b": target.gen("b"), "c": target.gen("c")}
+    want = target.gen("c") + target.gen("b") + target.one()
+    xb, want_b = x * b, want * target.gen("b")
+    q = rational_ring()
+    u, v = q.gen("u"), q.gen("v")
+    y = (u**4 * v).scale(3) + u.scale(Fraction(1, 2))
+    calls = count_products(monkeypatch)
+    # a maps to 1: no power of it is built and no term is multiplied by it
+    assert x.map_generators(target, images) == want
+    assert calls == []
+    # a^7 b c, a^3 b^2 and a^5 b: one product c * b and one square b * b
+    assert xb.map_generators(target, images) == want_b
+    assert len(calls) == 2
+    del calls[:]
+    # over Q a unit factor is dropped too, and the coefficient still scales the term
+    assert y.map_generators(q, {"u": q.one(), "v": v}) == v.scale(3) + q.scalar(Fraction(1, 2))
+    assert calls == []
+    # the images are still checked before any term is skipped
+    with pytest.raises(KeyError):
+        x.map_generators(target, {"a": target.one(), "b": target.gen("b")})
+    with pytest.raises(ValueError):
+        x.map_generators(target, dict(images, a=small_ring().one()))
+
+
 def test_map_generators_builds_each_image_power_once(monkeypatch):
     source = small_ring()
     target = PolynomialRing(GF2, [Generator(n, d) for n, d in (("a", 1), ("b", 2), ("c", 1), ("d", 1))])
