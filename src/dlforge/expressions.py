@@ -303,8 +303,12 @@ def parse_context(text):
 
 
 def format_expression(node):
-    """Canonical textual form; parses back to an equal AST."""
-    return _fmt(node, 0)
+    """Canonical textual form; parses back to an equal AST.  A tree built in
+    code too deep for the interpreter's stack raises ValueError."""
+    try:
+        return _fmt(node, 0)
+    except RecursionError:
+        raise ValueError("expression nested too deeply to print") from None
 
 
 # precedence levels: 0 sum, 1 product, 2 factor (powers and operation

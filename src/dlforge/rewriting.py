@@ -28,7 +28,6 @@ from .expressions import (
     Product,
     QOp,
     Sum,
-    format_expression,
     homogeneous_degree,
     parse_expression,
 )
@@ -194,6 +193,8 @@ class _Engine(CartanExtension):
     # -- the operation --------------------------------------------------------
 
     def apply_poly(self, s, p):
+        if len(p) == 1:  # the memoized value itself, not a copy
+            return self.apply_mono(s, next(iter(p)))
         out = set()
         for m in p:
             out ^= self.apply_mono(s, m)
@@ -300,52 +301,61 @@ class DLPolynomial:
     # -- canonical form ------------------------------------------------------
 
     @staticmethod
-    def _word_key(word):
-        ops, g = word
-        return (sum(ops), ops, g)
+    def _factor_key(factor):
+        (ops, g), e = factor
+        return (sum(ops), ops, g, e)
 
     def _mono_key(self, mono):
         degree = self.context.degree
         return (
             sum((degree(g) + sum(ops)) * e for (ops, g), e in mono),
-            tuple(sorted((self._word_key(w), e) for w, e in mono)),
+            tuple(sorted(map(self._factor_key, mono))),
         )
 
     def sorted_monomials(self):
-        return sorted(self.monomials, key=self._mono_key)
+        """The monomials in canonical order, each as its (word, exponent) factors in canonical order."""
+        return [sorted(m, key=self._factor_key) for m in sorted(self.monomials, key=self._mono_key)]
 
     def to_expression(self):
         """Rebuild a canonical AST (None stands for the zero polynomial)."""
         if not self.monomials:
             return None
         terms = []
-        for mono in self.sorted_monomials():
-            factors = []
-            for word, e in sorted(mono, key=lambda we: (self._word_key(we[0]), we[1])):
-                ops, g = word
+        for factors in self.sorted_monomials():
+            nodes = []
+            for (ops, g), e in factors:
                 node = GenRef(g)
                 for s in reversed(ops):
                     node = QOp(s, node)
-                if e > 1:
-                    node = Power(node, e)
-                factors.append(node)
-            terms.append(factors[0] if len(factors) == 1 else Product(tuple(factors)))
+                nodes.append(Power(node, e) if e > 1 else node)
+            terms.append(nodes[0] if len(nodes) == 1 else Product(tuple(nodes)))
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def __str__(self):
-        node = self.to_expression()
-        return "0" if node is None else format_expression(node)
+        """Canonical text, formatted from the monomials without building a tree;
+        ``format_expression(self.to_expression())`` is its test oracle."""
+        terms = []
+        for factors in self.sorted_monomials():
+            texts = []
+            for (ops, g), e in factors:
+                word = " ".join(["Q%d" % s for s in ops] + [g])
+                texts.append(word if e == 1 else ("(%s)^%d" if ops else "%s^%d") % (word, e))
+            terms.append(" ".join(texts))
+        return " + ".join(terms) or "0"
 
     def __repr__(self):
         return "<DL %s>" % self
 
 
 def normalize(expr, context):
-    """Normal form of an expression (or source text) over ``context``."""
+    """Normal form of an expression (or source text) over ``context``; a tree
+    built in code too deep for the interpreter's stack raises ValueError."""
     if isinstance(expr, str):
         expr = parse_expression(expr, context)
-    eng = _Engine(context)
-    return DLPolynomial(context, eng.evaluate(expr))
+    try:
+        return DLPolynomial(context, _Engine(context).evaluate(expr))
+    except RecursionError:
+        raise ValueError("expression nested too deeply to normalize") from None
 
 
 def normalize_word(superscripts, generator, context, strategy="bottom-up"):
@@ -359,32 +369,33 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
     drop a sequence as soon as it applies some Q^s to an argument of degree
     above s (instability): the input when it already does, and each Adem
     term whose two new entries do.  Adem keeps the sum of the pair, so no
-    other entry's argument degree changes.  Confluence of the calculus means
-    all three answers agree.
+    other entry's argument degree changes.  Only an admissible sequence with
+    an entry equal to the degree below it (a square) goes through the engine;
+    the others are basis words.  Confluence means all three answers agree.
     """
     superscripts = tuple(superscripts)
     degree = context.degree(generator)  # raises on unknown names
     eng = _Engine(context)
+    base = eng.evaluate(GenRef(generator))
+
+    def on_generator(seq):
+        return reduce(lambda poly, s: eng.apply_poly(s, poly), reversed(seq), base)
     if strategy == "bottom-up":
-        poly = eng.evaluate(GenRef(generator))
-        for s in reversed(superscripts):
-            poly = eng.apply_poly(s, poly)
-        return DLPolynomial(context, poly)
+        return DLPolynomial(context, on_generator(superscripts))
     if strategy not in ("top-down", "rightmost"):
         raise ValueError("unknown strategy %r" % strategy)
     if any(s < degree + sum(superscripts[i + 1 :]) for i, s in enumerate(superscripts)):
         return DLPolynomial(context, _ZERO)
-    scan = range if strategy == "top-down" else (lambda n: reversed(range(n)))
+    spots = range(len(superscripts) - 1)[:: 1 if strategy == "top-down" else -1]
     pending = {superscripts}
     admissible = set()
     steps = 0
     while pending:
         seq = pending.pop()
-        spot = next(
-            (i for i in scan(len(seq) - 1) if seq[i] > 2 * seq[i + 1]),
-            None,
-        )
-        if spot is None:
+        for spot in spots:
+            if seq[spot] > 2 * seq[spot + 1]:
+                break
+        else:
             admissible ^= {seq}
             continue
         steps += 1
@@ -393,12 +404,16 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
         below = degree + sum(seq[spot + 2 :])
         for top, inner in _stable_adem_terms(seq[spot], seq[spot + 1], below):
             pending ^= {seq[:spot] + (top, inner) + seq[spot + 2 :]}
-    out = _ZERO
+    out = set()
     for seq in admissible:
-        poly = eng.evaluate(GenRef(generator))
+        below = degree
         for s in reversed(seq):
-            poly = eng.apply_poly(s, poly)
-        out = out ^ poly
+            if s == below:
+                out ^= on_generator(seq)
+                break
+            below += s
+        else:
+            out ^= {(((seq, generator), 1),)}
     return DLPolynomial(context, out)
 
 

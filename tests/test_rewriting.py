@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from dlforge import rewriting
 from dlforge.expressions import (
     GenRef,
+    Power,
+    Product,
     QOp,
+    Sum,
     UnknownGeneratorError,
     en_level_witness,
     format_expression,
@@ -330,6 +333,119 @@ def test_adem_steps_on_a_long_word_are_pinned(strategy, monkeypatch):
     monkeypatch.setattr(rewriting, "adem_step", counted_adem_step)
     normalize_word(LONG_STABLE_WORDS[0], "x", parse_context("gen x deg 2\n"), strategy)
     assert len(calls) == PINNED_ADEM_STEPS[strategy]
+
+
+# Words whose normal forms have a square factor, (Q17 Q13 x)^2 and
+# (Q51 Q29 Q18 x)^2: their reductions reach admissible sequences with an
+# entry equal to the degree below it.
+SQUARE_WORDS = ((40, 16, 6), LONG_STABLE_WORDS[0])
+
+
+@pytest.mark.parametrize("word", SQUARE_WORDS, ids=lambda w: "-".join("Q%d" % s for s in w))
+def test_strategies_agree_on_words_with_square_terms(word):
+    # a fresh context per strategy, so no route reads another's cached values
+    values = [normalize_word(word, "x", parse_context("gen x deg 2\n"), s) for s in STRATEGIES]
+    assert values[0] == values[1] == values[2]
+    assert any(e == 2 for mono in values[0].monomials for _, e in mono)
+
+
+# _Engine.apply_poly calls for Q116 Q54 Q22 Q6 x on fresh caches: the
+# sequence routes evaluate only their square sequences in the engine.
+PINNED_APPLY_POLY_CALLS = {"top-down": 4, "rightmost": 4}
+
+
+@pytest.mark.parametrize("strategy", sorted(PINNED_APPLY_POLY_CALLS))
+def test_apply_poly_calls_on_a_long_word_are_pinned(strategy, monkeypatch):
+    calls = []
+    apply_poly = rewriting._Engine.apply_poly
+
+    def counted_apply_poly(self, s, p):
+        calls.append(s)
+        return apply_poly(self, s, p)
+
+    monkeypatch.setattr(rewriting._Engine, "apply_poly", counted_apply_poly)
+    normalize_word(LONG_STABLE_WORDS[0], "x", parse_context("gen x deg 2\n"), strategy)
+    assert len(calls) == PINNED_APPLY_POLY_CALLS[strategy]
+
+
+# -- printing ---------------------------------------------------------------
+
+
+@st.composite
+def expression_texts(draw):
+    """A sum of 1..3 products of 1..3 factors on x, each factor a word of
+    0..3 superscripts 0..40 with an exponent 1..3."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            ops = draw(st.lists(st.integers(0, 40), max_size=3))
+            word = " ".join(["Q%d" % s for s in ops] + ["x"])
+            exp = draw(st.integers(1, 3))
+            factors.append(word if exp == 1 else "(%s)^%d" % (word, exp))
+        terms.append(" ".join(factors))
+    return " + ".join(terms)
+
+
+PRINTING_GOLDENS = {
+    "Q40 Q16 Q6 x": "(Q17 Q13 x)^2 + (Q18 Q12 x)^2 + Q33 Q17 Q12 x + Q33 Q19 Q10 x"
+    " + Q34 Q17 Q11 x + Q34 Q18 Q10 x",
+    "x x x": "x^3",
+    "Q5 x Q2 x": "x^2 Q5 x",
+    "Q1 x": "0",
+    "x + x": "0",
+}
+
+
+@pytest.mark.parametrize("text", sorted(PRINTING_GOLDENS))
+def test_printing_goldens(text):
+    p = normalize(text, x_context())
+    assert str(p) == PRINTING_GOLDENS[text]
+    if not p.is_zero():
+        assert str(p) == format_expression(p.to_expression())
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(expression_texts())
+def test_printing_matches_formatting_the_expression_tree(text):
+    p = normalize(text, x_context())
+    if p.is_zero():
+        assert str(p) == "0"
+    else:
+        assert str(p) == format_expression(p.to_expression())
+
+
+def test_printing_builds_no_expression_nodes(monkeypatch):
+    ctx = x_context()
+    polys = [normalize(text, ctx) for text in PRINTING_GOLDENS]
+    built = []
+    for cls in (GenRef, QOp, Product, Power, Sum):
+        init = cls.__init__
+
+        def counted_init(self, *args, _init=init):
+            built.append(type(self).__name__)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    texts = [str(p) for p in polys]
+    assert built == []
+    assert texts == [PRINTING_GOLDENS[text] for text in PRINTING_GOLDENS]
+    polys[0].to_expression()  # the counter does see the tree route
+    assert {"GenRef", "QOp", "Power", "Sum"} <= set(built)
+
+
+# -- robustness ---------------------------------------------------------------
+
+
+def test_deeply_nested_code_built_trees_raise_a_one_line_value_error():
+    node = GenRef("x")
+    for _ in range(3000):
+        node = Sum((node, GenRef("x")))
+    for route in (format_expression, lambda n: normalize(n, x_context())):
+        with pytest.raises(ValueError) as caught:
+            route(node)
+        assert "nested too deeply" in str(caught.value)
+        assert "\n" not in str(caught.value)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
