@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import SUITE_NAMES
 from .expressions import (
     UnknownGeneratorError,
     en_level_witness,
@@ -20,7 +21,6 @@ from .expressions import (
     parse_expression,
 )
 from .rewriting import normalize
-from .suites import SUITE_NAMES, emit_report, run_suite
 
 _CONFIG_KEYS = {"max_degree", "truncation", "inject_fault", "scrub_timing"}
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -65,6 +65,8 @@ def _load_context(path):
 
 
 def _cmd_run(args):
+    from .suites import emit_report, run_suite
+
     config = {}
     if args.config is not None:
         with open(args.config) as handle:

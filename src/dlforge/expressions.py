@@ -377,22 +377,24 @@ def _en_scan(node, context):
             yield from _en_scan(child, context)
 
 
+def _en_pairs(node, context):
+    """Every (r, argument degree) of ``_en_scan``; a tree built in code too
+    deep for the interpreter's stack raises ValueError."""
+    try:
+        return list(_en_scan(node, context))
+    except RecursionError:
+        raise ValueError("expression nested too deeply to scan") from None
+
+
 def min_en_level(node, context):
     """Least n so that every operation taken lives in an E_n-algebra.
 
     Applying Q^r to a class of degree s needs n >= r - s + 2.  The answer is
     the maximum of that bound over all operation nodes (1 if there are none).
     """
-    best = 1
-    for r, d in _en_scan(node, context):
-        best = max(best, r - d + 2)
-    return best
+    return max([1] + [r - d + 2 for r, d in _en_pairs(node, context)])
 
 
 def en_level_witness(node, context):
-    """The (r, argument degree) pair realizing min_en_level, or None."""
-    best = None
-    for r, d in _en_scan(node, context):
-        if best is None or r - d + 2 > best[0] - best[1] + 2:
-            best = (r, d)
-    return best
+    """The first (r, argument degree) pair realizing min_en_level, or None."""
+    return max(_en_pairs(node, context), key=lambda pair: pair[0] - pair[1], default=None)

@@ -23,6 +23,7 @@ import operator
 from functools import reduce
 
 from .expressions import (
+    DegreeMismatchError,
     GenRef,
     Power,
     Product,
@@ -434,13 +435,11 @@ def verify_identity(lhs, rhs, context):
     """
     lhs = _coerce_side(lhs, context)
     rhs = _coerce_side(rhs, context)
-    degs = []
-    for side in (lhs, rhs):
-        if side is not None:
-            degs.append(homogeneous_degree(side, context))
+    try:
+        degs = [homogeneous_degree(side, context) for side in (lhs, rhs) if side is not None]
+    except RecursionError:
+        raise ValueError("expression nested too deeply to check") from None
     if len(degs) == 2 and degs[0] != degs[1]:
-        from .expressions import DegreeMismatchError
-
         raise DegreeMismatchError("sides have degrees %d and %d" % (degs[0], degs[1]))
     zero = DLPolynomial(context, frozenset())
     left = normalize(lhs, context) if lhs is not None else zero

@@ -176,23 +176,31 @@ def _suspend_context(context):
 
 
 def _flatten_terms(node):
-    """Expand into product terms, distributing sums (operations are additive)."""
+    """Expand into product terms, distributing sums (operations are additive).
+    A tree built in code too deep for the interpreter's stack raises ValueError."""
+    try:
+        return _flatten(node)
+    except RecursionError:
+        raise ValueError("expression nested too deeply to expand") from None
+
+
+def _flatten(node):
     if isinstance(node, GenRef):
         return [node]
     if isinstance(node, QOp):
-        terms = _flatten_terms(node.arg)
+        terms = _flatten(node.arg)
         if len(terms) == 1:
             return [QOp(node.s, terms[0])]
         return [QOp(node.s, t) for t in terms]
     if isinstance(node, Sum):
         out = []
         for t in node.terms:
-            out.extend(_flatten_terms(t))
+            out.extend(_flatten(t))
         return out
     if isinstance(node, Product):
         out = [None]
         for f in node.factors:
-            parts = _flatten_terms(f)
+            parts = _flatten(f)
             new = []
             for acc in out:
                 for p in parts:
@@ -205,7 +213,7 @@ def _flatten_terms(node):
     if isinstance(node, Power):
         if node.exp == 0:
             raise ValueError("zeroth powers are not suspendable")
-        terms = _flatten_terms(node.base)
+        terms = _flatten(node.base)
         if len(terms) == 1:
             return [Power(terms[0], node.exp)]
         expanded = terms

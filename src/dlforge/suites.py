@@ -14,7 +14,7 @@ import json
 import re
 import time
 
-from . import __version__
+from . import SUITE_NAMES, __version__
 from .expressions import format_expression, parse_expression
 from .formal_groups import (
     appendix_pipeline,
@@ -66,20 +66,6 @@ from .relations import (
 from .rewriting import normalize, verify_identity
 from .expressions import en_level_witness, min_en_level
 from .substitutions import compose_maps, suspend
-
-SUITE_NAMES = (
-    "big-relation",
-    "en-level",
-    "priddy",
-    "steinberger",
-    "model-compat",
-    "secondjuggle",
-    "firstjuggle-algebra",
-    "indeterminacy",
-    "appendix",
-    "hopf-chain",
-    "xi5-chain",
-)
 
 
 class SuiteError(KeyError):

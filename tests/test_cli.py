@@ -2,6 +2,7 @@
 determinism, and the negative-control fault injection."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -207,3 +208,74 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = modules_loaded_by("import dlforge.cli") - modules_loaded_by("pass")
     assert "dlforge.cli" in added
     assert added & {"dataclasses", "inspect"} == set()
+
+
+# modules a rewriting-only process never needs: the models, the series, the
+# substitutions and the suites
+NOT_FOR_REWRITING = {
+    "dlforge." + name
+    for name in ("homology", "series", "formal_groups", "hopf_ring", "substitutions", "relations", "suites")
+}
+
+
+def test_rewriting_commands_load_only_the_rewriting_modules(tmp_path):
+    context = tmp_path / "ctx.txt"
+    context.write_text("gen x deg 2\n")
+    call = "import dlforge.cli\ndlforge.cli.main(%r)"
+    probes = (
+        "import dlforge",
+        "import dlforge.cli",
+        call % ["normalize", "--context", str(context), "--expr", "Q8 Q3 x + Q5 Q2 x"],
+        call % ["en-level", "--context", str(context), "--expr", "Q5 Q3 x"],
+    )
+    for code in probes:
+        loaded = {m for m in modules_loaded_by(code) if m.startswith("dlforge")}
+        assert loaded & NOT_FOR_REWRITING == set(), code
+        assert loaded <= {"dlforge", "dlforge.cli", "dlforge.expressions", "dlforge.polynomial", "dlforge.rewriting"}
+    report = tmp_path / "report.json"
+    loaded = modules_loaded_by(call % ["run", "--suite", "big-relation", "--report", str(report)])
+    assert NOT_FOR_REWRITING <= loaded
+
+
+RUN_USAGE = """\
+usage: dlforge run [-h] --suite
+                   {big-relation,en-level,priddy,steinberger,model-compat,secondjuggle,firstjuggle-algebra,indeterminacy,appendix,hopf-chain,xi5-chain,all}
+                   [--max-degree MAX_DEGREE] [--truncation TRUNCATION]
+                   [--config CONFIG] [--report REPORT] [--format {json,text}]
+                   [--no-timing]
+"""
+
+
+def run_cli_80_columns(*args):
+    # argparse wraps its text to the terminal width, which COLUMNS sets
+    env = dict(os.environ, COLUMNS="80")
+    return subprocess.run([sys.executable, "-m", "dlforge", *args], capture_output=True, text=True, env=env)
+
+
+def test_run_help_text_is_pinned():
+    proc = run_cli_80_columns("run", "--help")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == RUN_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --suite {big-relation,en-level,priddy,steinberger,model-compat,secondjuggle,firstjuggle-algebra,indeterminacy,appendix,hopf-chain,xi5-chain,all}
+  --max-degree MAX_DEGREE
+  --truncation TRUNCATION
+  --config CONFIG       key=value config file
+  --report REPORT       write the report here instead of stdout
+  --format {json,text}
+  --no-timing           zero the elapsed-ms fields so reports are byte-
+                        identical
+"""
+
+
+def test_unknown_suite_message_is_pinned():
+    proc = run_cli_80_columns("run", "--suite", "mystery")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == RUN_USAGE + (
+        "dlforge run: error: argument --suite: invalid choice: 'mystery' (choose from 'big-relation',"
+        " 'en-level', 'priddy', 'steinberger', 'model-compat', 'secondjuggle', 'firstjuggle-algebra',"
+        " 'indeterminacy', 'appendix', 'hopf-chain', 'xi5-chain', 'all')\n"
+    )

@@ -46,7 +46,7 @@ from dlforge.relations import (
     y_context,
 )
 from dlforge.rewriting import DLPolynomial, adem_step, normalize, normalize_word, verify_identity
-from dlforge.substitutions import compose_maps, suspend
+from dlforge.substitutions import _flatten_terms, compose_maps, suspend
 
 
 # -- Adem oracle ---------------------------------------------------------
@@ -446,6 +446,37 @@ def test_deeply_nested_code_built_trees_raise_a_one_line_value_error():
             route(node)
         assert "nested too deeply" in str(caught.value)
         assert "\n" not in str(caught.value)
+
+
+DEEP_TREE_ROUTES = {
+    "min_en_level": lambda node: min_en_level(node, x_context()),
+    "en_level_witness": lambda node: en_level_witness(node, x_context()),
+    "verify_identity-left": lambda node: verify_identity(node, None, x_context()),
+    "verify_identity-right": lambda node: verify_identity("Q5 Q3 x", node, x_context()),
+    "_flatten_terms": _flatten_terms,
+}
+
+
+@pytest.mark.parametrize("route", sorted(DEEP_TREE_ROUTES))
+def test_deep_trees_give_a_value_error_on_every_entry_point(route):
+    node = GenRef("x")
+    for _ in range(3000):
+        node = Sum((node, GenRef("x")))
+    with pytest.raises(ValueError) as caught:
+        DEEP_TREE_ROUTES[route](node)
+    assert "nested too deeply" in str(caught.value)
+    assert "\n" not in str(caught.value)
+
+
+def test_en_level_routes_keep_the_first_maximal_pair():
+    ctx = x_context()
+    # Q5 on x and Q9 on Q4 x both need E_5; the witness is the first scanned
+    for text, witness in (("Q9 Q4 x + Q5 x", (9, 6)), ("Q5 x + Q9 Q4 x", (5, 2))):
+        node = parse_expression(text, ctx)
+        assert min_en_level(node, ctx) == 5
+        assert en_level_witness(node, ctx) == witness
+    assert min_en_level(parse_expression("x^2", ctx), ctx) == 1
+    assert en_level_witness(parse_expression("x^2", ctx), ctx) is None
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
