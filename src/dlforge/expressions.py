@@ -302,13 +302,18 @@ def parse_context(text):
 # -- printing -----------------------------------------------------------------
 
 
-def format_expression(node):
-    """Canonical textual form; parses back to an equal AST.  A tree built in
-    code too deep for the interpreter's stack raises ValueError."""
+def guarded(action, walk, *args):
+    """``walk(*args)``, where a tree built in code too deep for the interpreter's
+    stack raises a one-line ValueError instead of RecursionError."""
     try:
-        return _fmt(node, 0)
+        return walk(*args)
     except RecursionError:
-        raise ValueError("expression nested too deeply to print") from None
+        raise ValueError("expression nested too deeply to %s" % action) from None
+
+
+def format_expression(node):
+    """Canonical textual form; parses back to an equal AST.  See ``guarded``."""
+    return guarded("print", _fmt, node, 0)
 
 
 # precedence levels: 0 sum, 1 product, 2 factor (powers and operation
@@ -337,22 +342,26 @@ def _fmt(node, level):
 
 
 def expression_degrees(node, context):
-    """Set of degrees of the homogeneous components of ``node``."""
+    """Set of degrees of the homogeneous components of ``node``.  See ``guarded``."""
+    return guarded("grade", _degrees, node, context)
+
+
+def _degrees(node, context):
     if isinstance(node, GenRef):
         return {context.degree(node.name)}
     if isinstance(node, QOp):
-        return {node.s + d for d in expression_degrees(node.arg, context)}
+        return {node.s + d for d in _degrees(node.arg, context)}
     if isinstance(node, Power):
-        return {node.exp * d for d in expression_degrees(node.base, context)}
+        return {node.exp * d for d in _degrees(node.base, context)}
     if isinstance(node, Product):
         degs = {0}
         for f in node.factors:
-            degs = {a + b for a in degs for b in expression_degrees(f, context)}
+            degs = {a + b for a in degs for b in _degrees(f, context)}
         return degs
     if isinstance(node, Sum):
         out = set()
         for t in node.terms:
-            out |= expression_degrees(t, context)
+            out |= _degrees(t, context)
         return out
     raise TypeError("not an expression node: %r" % (node,))
 
@@ -367,7 +376,7 @@ def homogeneous_degree(node, context):
 def _en_scan(node, context):
     """Yield (r, argument degree) for every operation node."""
     if isinstance(node, QOp):
-        for d in expression_degrees(node.arg, context):
+        for d in _degrees(node.arg, context):
             yield (node.s, d)
         yield from _en_scan(node.arg, context)
     elif isinstance(node, Power):
@@ -377,24 +386,16 @@ def _en_scan(node, context):
             yield from _en_scan(child, context)
 
 
-def _en_pairs(node, context):
-    """Every (r, argument degree) of ``_en_scan``; a tree built in code too
-    deep for the interpreter's stack raises ValueError."""
-    try:
-        return list(_en_scan(node, context))
-    except RecursionError:
-        raise ValueError("expression nested too deeply to scan") from None
-
-
 def min_en_level(node, context):
     """Least n so that every operation taken lives in an E_n-algebra.
 
     Applying Q^r to a class of degree s needs n >= r - s + 2.  The answer is
     the maximum of that bound over all operation nodes (1 if there are none).
     """
-    return max([1] + [r - d + 2 for r, d in _en_pairs(node, context)])
+    return max([1] + [r - d + 2 for r, d in guarded("scan", list, _en_scan(node, context))])
 
 
 def en_level_witness(node, context):
     """The first (r, argument degree) pair realizing min_en_level, or None."""
-    return max(_en_pairs(node, context), key=lambda pair: pair[0] - pair[1], default=None)
+    pairs = guarded("scan", list, _en_scan(node, context))
+    return max(pairs, key=lambda pair: pair[0] - pair[1], default=None)

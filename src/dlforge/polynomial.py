@@ -31,6 +31,8 @@ one AND per product monomial.
 ``PolynomialRing.sum`` (and ``sum_products``) adds many elements into one
 accumulator instead of copying a partial sum per term: over GF2 each
 monomial toggles in or out (XOR), over Q a coefficient that cancels is popped.
+Over GF2 ``sum_products`` toggles each product monomial straight into the
+accumulator, so it builds no product on its own.
 
 Only ``PolynomialRing``, the series rings of ``series`` and the Cartan
 primitives of ``homology.DLModel`` know this layout;
@@ -311,8 +313,26 @@ class PolynomialRing:
         return GradedPolynomial(self, out)
 
     def sum_products(self, pairs):
-        """The sum of ``a * b`` over the ``(a, b)`` in ``pairs``."""
-        return self.sum(a * b for a, b in pairs)
+        """The sum of ``a * b`` over the ``(a, b)`` in ``pairs``.  Over GF2 without
+        limits, the one mod-2 product loop (``a * b`` is its one-pair case): no
+        field below 2^(FIELD_BITS - 2) lets a sum of two keys reach a guard bit,
+        so only a pair with a field at or above it takes the checked product."""
+        if self.scalars is not GF2 or self.limited:
+            return self.sum(a * b for a, b in pairs)
+        out = {}
+        pop, top = out.pop, self.top_bits
+        for a, b in pairs:
+            if a.ring is not self or b.ring is not self:
+                raise ValueError("elements of different rings")
+            left, right = a.terms, b.terms
+            if (reduce(or_, left, 0) | reduce(or_, right, 0)) & top:
+                left, right = a._checked_mul(b), (0,)  # its monomials, times 1
+            for m1 in left:
+                for m2 in right:
+                    m = m1 + m2
+                    if pop(m, None) is None:
+                        out[m] = 1
+        return GradedPolynomial(self, out)
 
     def one(self):
         return self.scalar(self.scalars.one)
@@ -356,10 +376,6 @@ class GradedPolynomial:
 
     # -- ring structure ---------------------------------------------------
 
-    def _check(self, other):
-        if self.ring is not other.ring:
-            raise ValueError("elements of different rings")
-
     def __add__(self, other):
         return self.ring.sum((self, other))
 
@@ -367,25 +383,19 @@ class GradedPolynomial:
         return self + other.scale(self.ring.scalars.neg(self.ring.scalars.one))
 
     def __mul__(self, other):
-        self._check(other)
         ring = self.ring
+        if ring.scalars is GF2 and not ring.limited:
+            return ring.sum_products(((self, other),))
+        return GradedPolynomial(ring, self._checked_mul(other))
+
+    def _checked_mul(self, other):
+        """The terms of ``self * other``, each sum checked against the guard
+        bits (``OverflowError``) and the ring's limits."""
+        ring = self.ring
+        if ring is not other.ring:
+            raise ValueError("elements of different rings")
         sc = ring.scalars
         out = {}
-        if (
-            sc is GF2
-            and not ring.limited
-            and not (reduce(or_, self.terms, 0) | reduce(or_, other.terms, 0)) & ring.top_bits
-        ):
-            # every coefficient is 1, so a monomial survives exactly when it
-            # arises an odd number of times: toggle its presence (XOR).  No
-            # field of either operand reaches its top two bits, so no sum
-            # reaches a guard bit and the loop needs no overflow check.
-            for m1 in self.terms:
-                for m2 in other.terms:
-                    m = m1 + m2
-                    if out.pop(m, None) is None:
-                        out[m] = 1
-            return GradedPolynomial(ring, out)
         guard, limit, limited = ring.guard, ring.limit, ring.limited
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -405,7 +415,7 @@ class GradedPolynomial:
                 else:
                     out[m] = s
         # limited monomials were dropped above
-        return GradedPolynomial(ring, out)
+        return out
 
     def __pow__(self, n):
         if n < 0:
@@ -441,15 +451,13 @@ class GradedPolynomial:
 
     def degree(self):
         """Degree of a homogeneous element (0 for the zero element)."""
-        degs = {self.ring.monomial_degree(m) for m in self.terms}
-        if not degs:
-            return 0
+        degs = self.degrees_present()
         if len(degs) > 1:
-            raise ValueError("not homogeneous: degrees %s" % sorted(degs))
-        return degs.pop()
+            raise ValueError("not homogeneous: degrees %s" % degs)
+        return degs[0] if degs else 0
 
     def degrees_present(self):
-        return sorted({self.ring.monomial_degree(m) for m in self.terms})
+        return sorted({m & _FIELD_MASK for m in self.terms})
 
     # -- structure queries --------------------------------------------------
 

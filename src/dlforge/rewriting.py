@@ -29,6 +29,7 @@ from .expressions import (
     Product,
     QOp,
     Sum,
+    guarded,
     homogeneous_degree,
     parse_expression,
 )
@@ -85,7 +86,7 @@ class CartanExtension:
     the odd operations zero; any other monomial peels one copy u of its first
     generator by the Cartan formula Q^s(u v) = sum Q^i u Q^{s-i} v, where
     instability makes Q^i u vanish below i = |u|.  Values are memoized per
-    (s, monomial) in ``_mono_cache``.
+    (s, monomial) in ``_mono_cache``, which is read before each recursion.
 
     Only the empty monomial is false; subclasses read the rest through four
     primitives: ``mono_degree``, ``lone_generator`` (the generator when the
@@ -112,12 +113,13 @@ class CartanExtension:
             result = self.zero if s % 2 else self.square(self.apply_mono(s // 2, half))
         else:
             first, first_degree, rest = self.peel(mono)
+            cached = self._mono_cache.get
             pairs = []
             for i in range(first_degree, s - self.mono_degree(rest) + 1):
-                left = self.apply_mono(i, first)
+                left = cached((i, first)) or self.apply_mono(i, first)
                 if self.is_zero(left):
                     continue
-                right = self.apply_mono(s - i, rest)
+                right = cached((s - i, rest)) or self.apply_mono(s - i, rest)
                 if not self.is_zero(right):
                     pairs.append((left, right))
             result = self.sum_products(pairs)
@@ -349,14 +351,10 @@ class DLPolynomial:
 
 
 def normalize(expr, context):
-    """Normal form of an expression (or source text) over ``context``; a tree
-    built in code too deep for the interpreter's stack raises ValueError."""
+    """Normal form of an expression (or source text) over ``context``.  See ``guarded``."""
     if isinstance(expr, str):
         expr = parse_expression(expr, context)
-    try:
-        return DLPolynomial(context, _Engine(context).evaluate(expr))
-    except RecursionError:
-        raise ValueError("expression nested too deeply to normalize") from None
+    return DLPolynomial(context, guarded("normalize", _Engine(context).evaluate, expr))
 
 
 def normalize_word(superscripts, generator, context, strategy="bottom-up"):
@@ -435,10 +433,7 @@ def verify_identity(lhs, rhs, context):
     """
     lhs = _coerce_side(lhs, context)
     rhs = _coerce_side(rhs, context)
-    try:
-        degs = [homogeneous_degree(side, context) for side in (lhs, rhs) if side is not None]
-    except RecursionError:
-        raise ValueError("expression nested too deeply to check") from None
+    degs = [homogeneous_degree(side, context) for side in (lhs, rhs) if side is not None]
     if len(degs) == 2 and degs[0] != degs[1]:
         raise DegreeMismatchError("sides have degrees %d and %d" % (degs[0], degs[1]))
     zero = DLPolynomial(context, frozenset())

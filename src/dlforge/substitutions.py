@@ -19,6 +19,7 @@ from .expressions import (
     Sum,
     expression_degrees,
     format_expression,
+    guarded,
     parse_expression,
 )
 from .rewriting import DLPolynomial, normalize
@@ -84,28 +85,31 @@ class SubstitutionMap:
 
     def _subst(self, node):
         """Substitute images through an AST; None propagates as zero."""
+        return guarded("substitute", self._substitute, node)
+
+    def _substitute(self, node):
         if node is None:
             return None
         if isinstance(node, GenRef):
             return self.image(node.name)
         if isinstance(node, QOp):
-            arg = self._subst(node.arg)
+            arg = self._substitute(node.arg)
             return None if arg is None else QOp(node.s, arg)
         if isinstance(node, Power):
             if node.exp == 0:
                 raise ValueError("zeroth powers are not substitutable")
-            base = self._subst(node.base)
+            base = self._substitute(node.base)
             return None if base is None else Power(base, node.exp)
         if isinstance(node, Product):
             factors = []
             for f in node.factors:
-                f = self._subst(f)
+                f = self._substitute(f)
                 if f is None:
                     return None
                 factors.append(f)
             return Product(tuple(factors))
         if isinstance(node, Sum):
-            terms = [t for t in (self._subst(t) for t in node.terms) if t is not None]
+            terms = [t for t in (self._substitute(t) for t in node.terms) if t is not None]
             if not terms:
                 return None
             return terms[0] if len(terms) == 1 else Sum(tuple(terms))
@@ -176,12 +180,8 @@ def _suspend_context(context):
 
 
 def _flatten_terms(node):
-    """Expand into product terms, distributing sums (operations are additive).
-    A tree built in code too deep for the interpreter's stack raises ValueError."""
-    try:
-        return _flatten(node)
-    except RecursionError:
-        raise ValueError("expression nested too deeply to expand") from None
+    """Expand into product terms, distributing sums (operations are additive)."""
+    return guarded("expand", _flatten, node)
 
 
 def _flatten(node):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through subprocesses: exit codes, report shape,
 determinism, and the negative-control fault injection."""
 
+import gc
 import json
 import os
 import subprocess
@@ -279,3 +280,30 @@ def test_unknown_suite_message_is_pinned():
         " 'en-level', 'priddy', 'steinberger', 'model-compat', 'secondjuggle', 'firstjuggle-algebra',"
         " 'indeterminacy', 'appendix', 'hopf-chain', 'xi5-chain', 'all')\n"
     )
+
+
+def test_only_the_entry_point_freezes_the_heap(tmp_path):
+    # cli.main leaves the caller's garbage collection alone ...
+    from dlforge import cli
+
+    before = gc.get_freeze_count()
+    here = tmp_path / "in-process.json"
+    code = cli.main(["run", "--suite", "big-relation", "--no-timing", "--report", str(here)])
+    assert code == 0
+    assert gc.get_freeze_count() == before
+    # ... and the entry point exits with main's code and writes the same
+    # whole report, before it freezes the heap for a cheap shutdown
+    child = tmp_path / "child.json"
+    proc = run_cli("run", "--suite", "big-relation", "--no-timing", "--report", str(child))
+    assert proc.returncode == code, proc.stderr
+    assert child.read_text() == here.read_text()
+    assert json.loads(child.read_text())["overall"] == "pass"
+    # the console script's target: run() returns main's code with the heap frozen
+    probe = (
+        "import gc, sys\nfrom dlforge.__main__ import run\nsys.argv[1:] = %r\n"
+        "code = run()\nsys.stderr.write('%%d %%d' %% (code, gc.get_freeze_count() > 0))"
+        % ["run", "--suite", "big-relation", "--config", str(tmp_path / "missing.cfg")]
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr.endswith("2 1")

@@ -21,7 +21,7 @@ from dlforge.homology import (
     map_p,
     mu_homology,
 )
-from dlforge.polynomial import FIELD_BITS, GradedPolynomial
+from dlforge.polynomial import FIELD_BITS, GradedPolynomial, PolynomialRing
 from dlforge.relations import Y_DEFINITIONS, qbar, suspended_relation, y_context
 from dlforge.rewriting import adem_step, normalize
 from dlforge.suites import PRIDDY_VALUES, STEINBERGER_VALUES, run_suite, statement_sides
@@ -288,17 +288,26 @@ def test_map_p_commutes_with_operations():
     assert ok, failures[:3]
 
 
+def count_kernel_products(monkeypatch):
+    # every GF2 product, a direct ``*`` or a term of a sum, is one pair that
+    # the one mod-2 product loop, ``PolynomialRing.sum_products``, receives;
+    # each pair is recorded as the number of monomial pairs it visits
+    sizes = []
+    kernel = PolynomialRing.sum_products
+
+    def counted(ring, pairs):
+        pairs = list(pairs)
+        sizes.extend(len(a.terms) * len(b.terms) for a, b in pairs)
+        return kernel(ring, pairs)
+
+    monkeypatch.setattr(PolynomialRing, "sum_products", counted)
+    return sizes
+
+
 def test_commute_sweep_does_a_pinned_number_of_products(monkeypatch):
     # an exact work count, so a change in the amount of work fails here even
     # on a machine too noisy to time it
-    calls = []
-    mul = GradedPolynomial.__mul__
-
-    def counted(a, b):
-        calls.append(None)
-        return mul(a, b)
-
-    monkeypatch.setattr(GradedPolynomial, "__mul__", counted)
+    calls = count_kernel_products(monkeypatch)
     ok, failures = check_dl_compatibility(24, 14, MUHomology(40), DualSteenrodAlgebra(40))
     assert ok, failures[:3]
     # no product builds an inverse component: graded_inverse enumerates them
@@ -308,18 +317,14 @@ def test_commute_sweep_does_a_pinned_number_of_products(monkeypatch):
 def test_commute_sweep_does_a_pinned_amount_of_work(monkeypatch):
     # the monomial pairs the products visit, and one map_p of u and one of
     # the sum of its Q^s u per swept monomial u
-    pairs, maps = [], []
-    mul, count_map = GradedPolynomial.__mul__, homology.map_p
-
-    def counted(a, b):
-        pairs.append(len(a.terms) * len(b.terms))
-        return mul(a, b)
+    maps = []
+    count_map = homology.map_p
 
     def counted_map(*args):
         maps.append(None)
         return count_map(*args)
 
-    monkeypatch.setattr(GradedPolynomial, "__mul__", counted)
+    pairs = count_kernel_products(monkeypatch)
     monkeypatch.setattr(homology, "map_p", counted_map)
     M = MUHomology(40)
     ok, failures = check_dl_compatibility(24, 14, M, DualSteenrodAlgebra(40))

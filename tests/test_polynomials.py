@@ -502,6 +502,95 @@ def test_gf2_products_check_overflow_only_near_the_field_limit():
         high * high
 
 
+def kernel_ring():
+    # z has degree 0, so its exponent reaches the 2^30 boundary alone
+    return PolynomialRing(GF2, [Generator("z", 0), Generator("a", 1), Generator("b", 2)])
+
+
+# exponents of z on either side of 2^30, where a field sets its second-highest bit
+BOUNDARY = (FIELD_LIMIT // 2 - 1, FIELD_LIMIT // 2, FIELD_LIMIT // 2 + 1)
+
+
+@st.composite
+def kernel_elements(draw, ring):
+    # one element in four may reach the boundary, so most sums do not overflow
+    z = (0, 1, 2) + (BOUNDARY if draw(st.integers(0, 3)) == 0 else ())
+    vectors = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(z),
+                st.integers(0, 2),
+                st.integers(0, 2),
+            ),
+            max_size=5,
+        )
+    )
+    return ring.make({ring.pack(pairs_of(v)): 1 for v in vectors})
+
+
+def odd_product_monomials(ring, pairs):
+    """Oracle: every monomial of every product, counted, kept when its count
+    is odd.  ``pack`` of the summed exponents raises ``OverflowError`` when an
+    exponent or the degree reaches ``FIELD_LIMIT``."""
+    counts = Counter()
+    for a, b in pairs:
+        for m1 in a.terms:
+            for m2 in b.terms:
+                exps = Counter(dict(ring.unpack(m1))) + Counter(dict(ring.unpack(m2)))
+                counts[ring.pack(sorted(exps.items()))] += 1
+    return {m: 1 for m, c in counts.items() if c % 2}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_gf2_sum_products_keeps_exactly_the_odd_product_monomials(data):
+    ring = kernel_ring()
+    xs = data.draw(st.lists(kernel_elements(ring), max_size=5))
+    pairs = [(x, data.draw(kernel_elements(ring))) for x in xs]
+    for x, y in pairs:
+        try:
+            want = odd_product_monomials(ring, [(x, y)])
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                x * y
+        else:
+            assert (x * y).terms == want
+    try:
+        want = odd_product_monomials(ring, pairs)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            ring.sum_products(iter(pairs))
+        return
+    total = ring.sum_products(iter(pairs))
+    assert total.ring is ring
+    assert total.terms == want
+    # full cancellation: every product twice, in either order
+    assert ring.sum_products(pairs + pairs[::-1]).terms == {}
+    assert ring.sum_products(pairs + [(y, x) for x, y in pairs]).terms == {}
+
+
+def test_gf2_sum_products_edge_cases():
+    ring, other = kernel_ring(), kernel_ring()
+    x = ring.gen("a") + ring.gen("b")
+    empty = ring.sum_products([])
+    assert empty.ring is ring and empty.terms == {}
+    # a foreign operand is rejected in either place, also when the other is zero
+    for pair in ((x, other.gen("a")), (other.gen("a"), x), (ring.zero(), other.zero())):
+        with pytest.raises(ValueError):
+            ring.sum_products([pair])
+        with pytest.raises(ValueError):
+            pair[0] * pair[1]
+    with pytest.raises(ValueError):
+        ring.sum_products([(other.one(), other.one())])
+    # a field at 2^30 takes the checked path: it fits next to a small field
+    # and overflows next to another one at 2^30
+    high = ring.gen("z", FIELD_LIMIT // 2)
+    assert ring.sum_products([(high, x), (x, high)]).terms == {}
+    assert ring.sum_products([(high, ring.gen("z"))]) == ring.gen("z", FIELD_LIMIT // 2 + 1)
+    with pytest.raises(OverflowError):
+        ring.sum_products([(x, x), (high, high)])
+
+
 @pytest.mark.parametrize("which", ["Q[v3]/(v3^2)", "GF2 H_*MU"])
 def test_sums_and_scalings_match_the_make_route(which):
     if which == "GF2 H_*MU":

@@ -16,7 +16,9 @@ from dlforge.expressions import (
     Sum,
     UnknownGeneratorError,
     en_level_witness,
+    expression_degrees,
     format_expression,
+    homogeneous_degree,
     min_en_level,
     parse_context,
     parse_expression,
@@ -46,7 +48,7 @@ from dlforge.relations import (
     y_context,
 )
 from dlforge.rewriting import DLPolynomial, adem_step, normalize, normalize_word, verify_identity
-from dlforge.substitutions import _flatten_terms, compose_maps, suspend
+from dlforge.substitutions import SubstitutionMap, _flatten_terms, compose_maps, suspend
 
 
 # -- Adem oracle ---------------------------------------------------------
@@ -454,6 +456,11 @@ DEEP_TREE_ROUTES = {
     "verify_identity-left": lambda node: verify_identity(node, None, x_context()),
     "verify_identity-right": lambda node: verify_identity("Q5 Q3 x", node, x_context()),
     "_flatten_terms": _flatten_terms,
+    "expression_degrees": lambda node: expression_degrees(node, x_context()),
+    "homogeneous_degree": lambda node: homogeneous_degree(node, x_context()),
+    "SubstitutionMap._subst": lambda node: (
+        SubstitutionMap(x_context(), x_context(), {"x": "x"})._subst(node)
+    ),
 }
 
 
