@@ -164,4 +164,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # ``python -m dlforge.cli`` exits through the package's one entry function
+    from .__main__ import run
+
+    sys.exit(run())

@@ -3,9 +3,12 @@
 Each suite is an ordered list of checks; a check is a thunk returning
 (ok, witness text) plus a human-readable statement of what is being
 asserted and a flag for statements imported rather than derived here.
-Reports order checks by id, print witnesses in canonical monomial order,
-and are bit-stable except for the elapsed-milliseconds fields (which the
-``scrub_timing`` config key zeroes out).
+Checks that share a fact (a scan, the Hopf chain, a statement's sides, ...)
+read it from one per-run table, so a run computes each fact once and its
+rows only format witnesses.  Reports order checks by id, print witnesses
+in canonical monomial order, and are bit-stable except for the
+elapsed-milliseconds fields (which the ``scrub_timing`` config key zeroes
+out).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 import time
+from functools import cached_property
 
 from . import SUITE_NAMES, __version__
 from .expressions import format_expression, parse_expression
@@ -76,11 +80,6 @@ def _check(check_id, statement, run, imported=False):
     return {"id": check_id, "statement": statement, "imported": imported, "run": run}
 
 
-def _cap(config):
-    # the default cap is not written into ``config``: the report echoes it
-    return config.get("max_degree", DEFAULT_MAX_DEGREE)
-
-
 def _zero_check(residual):
     return residual.is_zero(), str(residual)
 
@@ -104,10 +103,55 @@ def _raw_value(ring):
     return {(3,): ring.gen("v3").scale(375)}
 
 
+def _scan_check(scan):
+    return scan["all_decomposable"], "; ".join(
+        "%s (degree %d, %d classes)" % (r["term"], r["source_degree"], r["basis_size"])
+        for r in scan["terms"]
+    )
+
+
+# -- the facts of one run -----------------------------------------------------
+
+
+class _Facts:
+    """The facts rows share, each computed when a row first reads it and kept
+    for one run.  A fact that raises is not kept, so each row that reads it
+    becomes its own ``error`` row.  Facts find the helpers as module globals
+    when they run, so a rebound helper (a test's patch, a tracer) is called.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        # the default cap is not written into ``config``: the report echoes it
+        self.cap = config.get("max_degree", DEFAULT_MAX_DEGREE)
+        self._sides = {}
+
+    A = cached_property(lambda f: dual_steenrod(f.cap))
+    M = cached_property(lambda f: mu_homology(f.cap))
+    at_xi1_squared = cached_property(lambda f: {"x": f.A.xi(1) * f.A.xi(1)})
+    suspended_qbar = cached_property(lambda f: suspend(qbar()))
+    qbar_scan = cached_property(lambda f: indeterminacy_scan(f.suspended_qbar, f.A, f.at_xi1_squared))
+    relation_scan = cached_property(lambda f: indeterminacy_scan(suspended_relation(), f.A, f.at_xi1_squared))
+    chain_k5 = cached_property(lambda f: verify_gotcha_chain(k=5))
+    juggle_residual = cached_property(lambda f: juggling_residual())
+    # the seven degree-2 definitions, evaluated at xi1^2
+    y_values = cached_property(lambda f: {
+        name: evaluate_in_model(expr, f.at_xi1_squared, f.A, y_context()) for name, expr in Y_DEFINITIONS.items()
+    })
+    indecomposables = cached_property(lambda f: {d: indecomposable_dimension(f.A, d) for d in (5, 11, 13, 14, 31)})
+
+    def sides(self, model, statement):
+        """``statement_sides`` of a table statement in model ``"A"`` or ``"M"``."""
+        key = model, statement
+        if key not in self._sides:
+            self._sides[key] = statement_sides(getattr(self, model), statement)
+        return self._sides[key]
+
+
 # -- suite builders -----------------------------------------------------------
 
 
-def _suite_big_relation(config):
+def _suite_big_relation(facts):
     checks = [
         _check(
             "01-relation-sum",
@@ -126,7 +170,7 @@ def _suite_big_relation(config):
     return checks
 
 
-def _suite_en_level(config):
+def _suite_en_level(facts):
     expr = big_relation_expression()
 
     def displayed():
@@ -210,24 +254,22 @@ def statement_sides(model, statement):
     return tuple(sides)
 
 
-def _statement_checks(model, values, identities, start=1, value_note=""):
+def _statement_checks(facts, model, values, identities, start=1, value_note=""):
     """One check per table statement: its two sides agree in ``model``."""
     rows = [("value", st, value_note) for st in values] + [("identity", st, "") for st in identities]
     return [
-        _check("%02d-%s" % (index, kind), st + note, lambda st=st: _eq(*statement_sides(model, st)))
+        _check("%02d-%s" % (index, kind), st + note, lambda st=st: _eq(*facts.sides(model, st)))
         for index, (kind, st, note) in enumerate(rows, start=start)
     ]
 
 
-def _suite_priddy(config):
-    M = mu_homology(_cap(config))
-    return _statement_checks(M, PRIDDY_VALUES, PRIDDY_IDENTITIES)
+def _suite_priddy(facts):
+    return _statement_checks(facts, "M", PRIDDY_VALUES, PRIDDY_IDENTITIES)
 
 
-def _suite_steinberger(config):
-    A = dual_steenrod(_cap(config))
-
+def _suite_steinberger(facts):
     def generating_function():
+        A = facts.A
         total = A.ring.one()
         claimed = A.ring.one() + A.xi(1)
         for i in range(1, A.top_index + 1):
@@ -242,7 +284,7 @@ def _suite_steinberger(config):
         return True, "product is 1 through degree 32"
 
     def self_check():
-        checked, failures = A.self_check()
+        checked, failures = facts.A.self_check()
         if failures:
             return False, "; ".join("%s: %s" % f for f in failures[:3])
         return True, "%d cross-route comparisons agree" % len(checked)
@@ -254,42 +296,37 @@ def _suite_steinberger(config):
             generating_function,
         ),
         *_statement_checks(
-            A,
+            facts,
+            "A",
             STEINBERGER_VALUES,
             STEINBERGER_IDENTITIES,
             start=2,
             value_note=" (full Cartan route through the antipode expansion)",
         ),
-        _check(
-            "10-self-check",
-            "all overlapping defining routes for the action agree",
-            self_check,
-        ),
+        _check("10-self-check", "all overlapping defining routes for the action agree", self_check),
     ]
 
 
-def _suite_model_compat(config):
-    A = dual_steenrod(_cap(config))
-    M = mu_homology(_cap(config))
-
+def _suite_model_compat(facts):
     def sweep():
-        ok, failures = check_dl_compatibility(24, 14, M, A)
+        ok, failures = check_dl_compatibility(24, 14, facts.M, facts.A)
         if ok:
             return True, "p Q^s = Q^s p for s <= 24 on all monomials of degree <= 14"
         s, u, lhs, rhs = failures[0]
         return False, "s=%d u=%s: %s vs %s" % (s, u, lhs, rhs)
 
     def spot():
+        A, M = facts.A, facts.M
         lhs = map_p(M.q(4, M.b(1)), M, A)
-        rhs = A.q(4, A.xi(1) * A.xi(1))
-        ok, witness = _eq(lhs, rhs)
-        return ok, witness
+        return _eq(lhs, A.q(4, A.xi(1) * A.xi(1)))
 
     def squares():
+        M = facts.M
         bad = [k for k in range(1, 9) if M.q(2 * k, M.b(k)) != M.b(k) ** 2]
         return not bad, "failures at %s" % bad if bad else "Q^{2k} b_k = b_k^2 for k <= 8"
 
     def oddness():
+        A, M = facts.A, facts.M
         for k in (1, 2, 3):
             for s in range(1, 15, 2):
                 if not M.q(s, M.b(k)).is_zero():
@@ -307,9 +344,9 @@ def _suite_model_compat(config):
     ]
 
 
-def _suite_secondjuggle(config):
+def _suite_secondjuggle(facts):
     def composite_equality():
-        return _zero_check(juggling_residual())
+        return _zero_check(facts.juggle_residual)
 
     def mu_r_display():
         image = compose_maps(mu(), relation_map()).image("z30")
@@ -347,22 +384,20 @@ def _suite_secondjuggle(config):
     ]
 
 
-def _suite_firstjuggle(config):
-    A = dual_steenrod(_cap(config))
-    M = mu_homology(_cap(config))
-
+def _suite_firstjuggle(facts):
     def defining_vanishing():
-        return _eq(*statement_sides(M, PRIDDY_IDENTITIES[3]))
+        return _eq(*facts.sides("M", PRIDDY_IDENTITIES[3]))
 
     def p_kills_b2():
-        return _zero_check(map_p(M.b(2), M, A))
+        return _zero_check(map_p(facts.M.b(2), facts.M, facts.A))
 
     def suspended_qbar():
-        image = suspend(qbar()).image("z'15")
+        image = facts.suspended_qbar.image("z'15")
         return _eq(format_expression(image), "Q10 y'5 + x^2 Q6 y'5")
 
     def base_acts_zero():
-        image = suspend(qbar()).image("z'15")
+        A = facts.A
+        image = facts.suspended_qbar.image("z'15")
         for element in A.monomials_of_degree(5):
             got = evaluate_in_model(image, {"x": A.ring.zero(), "y'5": element}, A)
             if got != A.q(10, element):
@@ -370,20 +405,10 @@ def _suite_firstjuggle(config):
         return True, "with the base class acting by zero the image is Q10 applied to the slot"
 
     def degree5_scan():
-        scan = indeterminacy_scan(suspend(qbar()), A, {"x": A.xi(1) * A.xi(1)})
-        rows = "; ".join(
-            "%s (degree %d, %d classes)" % (r["term"], r["source_degree"], r["basis_size"])
-            for r in scan["terms"]
-        )
-        return scan["all_decomposable"], rows
+        return _scan_check(facts.qbar_scan)
 
     def y_vanishing():
-        assign = {"x": A.xi(1) * A.xi(1)}
-        bad = []
-        for name, expr in Y_DEFINITIONS.items():
-            value = evaluate_in_model(expr, assign, A, y_context())
-            if not value.is_zero():
-                bad.append("%s -> %s" % (name, value))
+        bad = ["%s -> %s" % (name, value) for name, value in facts.y_values.items() if not value.is_zero()]
         return not bad, "; ".join(bad) if bad else "all seven classes vanish at xi1^2"
 
     return [
@@ -398,47 +423,31 @@ def _suite_firstjuggle(config):
             "the suspended substitution sends the degree-15 class to Q10 y'5 + x^2 Q6 y'5",
             suspended_qbar,
         ),
-        _check(
-            "04-base-acts-zero",
-            "once the base class acts by zero only Q10 survives",
-            base_acts_zero,
-        ),
+        _check("04-base-acts-zero", "once the base class acts by zero only Q10 survives", base_acts_zero),
         _check(
             "05-degree5-scan",
             "feeding every degree-5 class through the suspended image lands in decomposables",
             degree5_scan,
         ),
-        _check(
-            "06-y-vanishing",
-            "the seven degree-2 definitions vanish at xi1^2",
-            y_vanishing,
-        ),
+        _check("06-y-vanishing", "the seven degree-2 definitions vanish at xi1^2", y_vanishing),
     ]
 
 
-def _suite_indeterminacy(config):
-    A = dual_steenrod(_cap(config))
-
+def _suite_indeterminacy(facts):
     def dims_zero():
-        bad = [d for d in (5, 11, 13, 14) if indecomposable_dimension(A, d) != 0]
+        bad = [d for d in (5, 11, 13, 14) if facts.indecomposables[d] != 0]
         return not bad, "unexpected indecomposables in %s" % bad if bad else (
             "no indecomposables in degrees 5, 11, 13, 14"
         )
 
     def dim_31():
-        return _eq(indecomposable_dimension(A, 31), 1)
+        return _eq(facts.indecomposables[31], 1)
 
     def relation_scan():
-        scan = indeterminacy_scan(suspended_relation(), A, {"x": A.xi(1) * A.xi(1)})
-        rows = "; ".join(
-            "%s (degree %d, %d classes)" % (r["term"], r["source_degree"], r["basis_size"])
-            for r in scan["terms"]
-        )
-        return scan["all_decomposable"], rows
+        return _scan_check(facts.relation_scan)
 
     def firstjuggle_scan():
-        scan = indeterminacy_scan(suspend(qbar()), A, {"x": A.xi(1) * A.xi(1)})
-        return scan["all_decomposable"], scan["closure_note"]
+        return facts.qbar_scan["all_decomposable"], facts.qbar_scan["closure_note"]
 
     return [
         _check(
@@ -446,11 +455,7 @@ def _suite_indeterminacy(config):
             "the dual algebra has no indecomposables in degrees 5, 11, 13, 14",
             dims_zero,
         ),
-        _check(
-            "02-degree-31",
-            "the degree-31 indecomposable quotient is one-dimensional",
-            dim_31,
-        ),
+        _check("02-degree-31", "the degree-31 indecomposable quotient is one-dimensional", dim_31),
         _check(
             "03-relation-scan",
             "every term of the suspended relation lands in decomposables"
@@ -465,9 +470,9 @@ def _suite_indeterminacy(config):
     ]
 
 
-def _suite_appendix(config):
+def _suite_appendix(facts):
     p = preset("appendix-z-v3")
-    truncation = config.get("truncation")
+    truncation = facts.config.get("truncation")
     ring = p.ring
     v3 = ring.gen("v3")
 
@@ -545,9 +550,9 @@ def _suite_appendix(config):
     ]
 
 
-def _suite_hopf_chain(config):
+def _suite_hopf_chain(facts):
     def chain_k5():
-        chain = verify_gotcha_chain(k=5)
+        chain = facts.chain_k5
         ok = str(chain["endpoint"]) == "sigma x7" and all(s["ok"] for s in chain["steps"])
         trail = " | ".join("%s: %s" % (s["id"], s["value"]) for s in chain["steps"])
         return ok, trail
@@ -605,36 +610,29 @@ def _suite_hopf_chain(config):
     ]
 
 
-def _suite_xi5_chain(config):
-    A = dual_steenrod(_cap(config))
-    M = mu_homology(_cap(config))
-
+def _suite_xi5_chain(facts):
     def step1():
-        return _zero_check(juggling_residual())
+        return _zero_check(facts.juggle_residual)
 
     def step2():
-        assign = {"x": A.xi(1) * A.xi(1)}
-        for name, expr in Y_DEFINITIONS.items():
-            value = evaluate_in_model(expr, assign, A, y_context())
+        for name, value in facts.y_values.items():
             if not value.is_zero():
                 return False, "%s nonzero at xi1^2" % name
-        lhs, rhs = statement_sides(M, PRIDDY_IDENTITIES[2])
+        lhs, rhs = facts.sides("M", PRIDDY_IDENTITIES[2])
         if lhs != rhs:
             return False, "twisted square mismatch: %s vs %s" % (lhs, rhs)
         return True, "classes vanish at xi1^2 and " + PRIDDY_IDENTITIES[2]
 
     def step3():
-        lhs, rhs = statement_sides(A, STEINBERGER_VALUES[4])
+        lhs, rhs = facts.sides("A", STEINBERGER_VALUES[4])
         if lhs != rhs:
             return False, "expected %s, got %s" % (rhs, lhs)
-        mod_dec = A.q(16, A.xi(4)).indecomposable_part()
-        return _eq(mod_dec, A.xi(5))
+        A = facts.A
+        return _eq(A.q(16, A.xi(4)).indecomposable_part(), A.xi(5))
 
     def step4():
-        scan = indeterminacy_scan(suspended_relation(), A, {"x": A.xi(1) * A.xi(1)})
-        scan5 = indeterminacy_scan(suspend(qbar()), A, {"x": A.xi(1) * A.xi(1)})
-        dims_ok = all(indecomposable_dimension(A, d) == 0 for d in (5, 11, 13, 14))
-        dims_ok = dims_ok and indecomposable_dimension(A, 31) == 1
+        scan, scan5, dims = facts.relation_scan, facts.qbar_scan, facts.indecomposables
+        dims_ok = not any(dims[d] for d in (5, 11, 13, 14)) and dims[31] == 1
         ok = scan["all_decomposable"] and scan5["all_decomposable"] and dims_ok
         return ok, (
             "slot degrees %s and 5 all land in decomposables; degree-31"
@@ -643,28 +641,20 @@ def _suite_xi5_chain(config):
         )
 
     def step5():
-        chain = verify_gotcha_chain(k=5)
+        chain = facts.chain_k5
         return str(chain["endpoint"]) == "sigma x7", " | ".join(
             "%s%s: %s" % (s["id"], " [imported]" if s["imported"] else "", s["value"])
             for s in chain["steps"]
         )
 
     return [
-        _check(
-            "01-second-juggle",
-            "the two substitution routes from the degree-30 class agree",
-            step1,
-        ),
+        _check("01-second-juggle", "the two substitution routes from the degree-30 class agree", step1),
         _check(
             "02-model-square",
             "the degree-2 definitions vanish at xi1^2 and the twisted square commutes at b1",
             step2,
         ),
-        _check(
-            "03-conjugate-ladder",
-            STEINBERGER_VALUES[4] + ", so Q16 xi4 = xi5 mod decomposables",
-            step3,
-        ),
+        _check("03-conjugate-ladder", STEINBERGER_VALUES[4] + ", so Q16 xi4 = xi5 mod decomposables", step3),
         _check(
             "04-indeterminacy",
             "every indeterminacy slot scans to decomposables; bracket-level gluing"
@@ -711,15 +701,14 @@ def _injected_fault_check():
 
 
 def build_suite(name, config=None):
-    """The ordered check list for a named suite."""
-    config = dict(config or {})
+    """The ordered check list for a named suite, with a fresh fact table."""
+    facts = _Facts(dict(config or {}))
     if name == "all":
-        checks = []
-        for sub in SUITE_NAMES:
-            for check in _BUILDERS[sub](config):
-                namespaced = dict(check)
-                namespaced["id"] = "%s/%s" % (sub, check["id"])
-                checks.append(namespaced)
+        checks = [
+            dict(check, id="%s/%s" % (sub, check["id"]))
+            for sub in SUITE_NAMES
+            for check in _BUILDERS[sub](facts)
+        ]
     else:
         try:
             builder = _BUILDERS[name]
@@ -728,8 +717,8 @@ def build_suite(name, config=None):
                 "unknown suite %r; choices are %s"
                 % (name, ", ".join(SUITE_NAMES + ("all",)))
             ) from None
-        checks = builder(config)
-    if config.get("inject_fault"):
+        checks = builder(facts)
+    if facts.config.get("inject_fault"):
         checks = checks + [_injected_fault_check()]
     return checks
 

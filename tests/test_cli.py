@@ -307,3 +307,19 @@ def test_only_the_entry_point_freezes_the_heap(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stderr.endswith("2 1")
+    # ``python -m dlforge.cli`` runs the same command with the same code and
+    # report, and exits through run() with the heap frozen
+    args = ["run", "--suite", "big-relation", "--no-timing", "--report"]
+    via_cli = tmp_path / "cli.json"
+    command = [sys.executable, "-m", "dlforge.cli", *args, str(via_cli)]
+    proc = subprocess.run(command, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert via_cli.read_text() == here.read_text()
+    probe = (
+        "import gc, runpy, sys\nsys.argv[1:] = %r\ntry:\n    runpy.run_module('dlforge.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    sys.stderr.write('%%s %%d' %% (exc.code, gc.get_freeze_count() > 0))"
+        % [*args, str(tmp_path / "probe.json")]
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr.endswith("0 1")

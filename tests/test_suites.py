@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from dlforge import formal_groups, hopf_ring, suites
+from dlforge.relations import x_context
+from dlforge.rewriting import normalize
 from dlforge.suites import SUITE_NAMES, SuiteError, build_suite, emit_report, run_suite
 
 
@@ -149,3 +151,62 @@ def test_an_exhausted_reduction_budget_errors_exactly_the_pipeline_rows(monkeypa
     assert all(status == "pass" for i, status in statuses.items() if i not in PIPELINE_ROWS)
     witnesses = {row["witness"] for row in report["checks"] if row["status"] == "error"}
     assert witnesses == {"ArithmeticError: mod-2 series reduction did not terminate"}
+
+
+# -- the per-run fact table -------------------------------------------------
+
+
+def _failed_rows():
+    report = run_suite("all", {"scrub_timing": True})
+    return sorted(row["id"] for row in report["checks"] if row["status"] != "pass")
+
+
+def test_a_scan_that_finds_an_indecomposable_fails_every_row_that_reads_it(monkeypatch):
+    real = suites.indeterminacy_scan
+    monkeypatch.setattr(suites, "indeterminacy_scan", lambda *a: {**real(*a), "all_decomposable": False})
+    assert _failed_rows() == [
+        "firstjuggle-algebra/05-degree5-scan",
+        "indeterminacy/03-relation-scan",
+        "indeterminacy/04-firstjuggle-scan",
+        "xi5-chain/04-indeterminacy",
+    ]
+
+
+def test_a_nonzero_juggling_residual_fails_both_rows_that_read_it(monkeypatch):
+    monkeypatch.setattr(suites, "juggling_residual", lambda: normalize("x^2", x_context()))
+    assert _failed_rows() == ["secondjuggle/01-composite-equality", "xi5-chain/01-second-juggle"]
+
+
+def test_a_suite_gives_the_same_rows_alone_and_inside_all():
+    # each run has its own facts, so no value depends on which suite read it first
+    inside = run_suite("all", {"scrub_timing": True})["checks"]
+    for name in SUITE_NAMES:
+        alone = run_suite(name, {"scrub_timing": True})["checks"]
+        namespaced = [dict(row, id="%s/%s" % (name, row["id"])) for row in alone]
+        assert namespaced == [row for row in inside if row["id"].startswith(name + "/")], name
+
+
+def _count_calls(monkeypatch, name):
+    """Record the keyword arguments of every call to a ``suites`` global."""
+    calls = []
+    real = getattr(suites, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suites, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, scans, chains, residuals", [
+    ("all", 2, [{"k": 5}, {"k": 4}, {"identify": False}], 1),
+    ("xi5-chain", 2, [{"k": 5}], 1),
+])
+def test_each_shared_fact_is_computed_once_per_run(monkeypatch, name, scans, chains, residuals):
+    # the facts call these through the module's globals, so the wrappers see every call
+    scan_calls = _count_calls(monkeypatch, "indeterminacy_scan")
+    chain_calls = _count_calls(monkeypatch, "verify_gotcha_chain")
+    residual_calls = _count_calls(monkeypatch, "juggling_residual")
+    assert run_suite(name, {"scrub_timing": True})["overall"] == "pass"
+    assert (len(scan_calls), chain_calls, len(residual_calls)) == (scans, chains, residuals)
