@@ -164,7 +164,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    # ``python -m dlforge.cli`` exits through the package's one entry function
+    # ``python -m dlforge.cli`` is the same process as ``python -m dlforge``
     from .__main__ import run
 
-    sys.exit(run())
+    run()

@@ -17,11 +17,14 @@ one per line::
 
 A ``base`` generator is a scalar from the ground algebra: substitution maps
 fix it and suspension neither shifts nor kills it.
+
+Every dlforge process loads this module, so it also holds the two helpers
+that every layer shares: ``Value``, the base of the immutable value classes,
+and ``binomial_mod2``.  A process that only rewrites then never loads the
+polynomial kernel or ``fractions``.
 """
 
 from __future__ import annotations
-
-from .polynomial import Value, _set
 
 __all__ = [
     "ExpressionSyntaxError",
@@ -39,6 +42,44 @@ __all__ = [
     "min_en_level",
     "en_level_witness",
 ]
+
+
+_set = object.__setattr__
+
+
+class Value:
+    """An immutable value: its ``__slots__`` are its fields, compared and hashed as a tuple.
+    Each subclass's ``__init__`` sets them through ``_set``, since ``__setattr__`` raises."""
+
+    __slots__ = ()
+
+    def _key(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        pairs = map("%s=%r".__mod__, zip(self.__slots__, self._key()))
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(pairs))
+
+
+def binomial_mod2(n, k):
+    """Binomial coefficient mod 2 via the bitmask form of Lucas' theorem.
+
+    Out-of-range arguments (negative, or k > n) give 0.
+    """
+    if k < 0 or n < 0 or k > n:
+        return 0
+    return 1 if (n - k) & k == 0 else 0
 
 
 class ExpressionSyntaxError(ValueError):

@@ -135,8 +135,9 @@ def fgl_from_log(p, x_order, y_order, check=True):
     return F
 
 
+@lru_cache(maxsize=64)
 def n_series(p, n, order, var="t"):
-    """The n-series [n](t) = exp(n log t), checked to be integral."""
+    """The n-series [n](t) = exp(n log t), checked to be integral (memoized)."""
     sig = signature((var,), (order,))
     log = p.log_series(sig, var)
     series = p.exp_series(sig, var).substitute({var: log.scale(n)})
@@ -151,8 +152,9 @@ def bracket2_series(p, order):
     return two.divide_exact("alpha", 1)
 
 
+@lru_cache(maxsize=64)
 def isogeny_g(p, x_order, alpha_order):
-    """g(x, alpha) = x (x +_F alpha) over the (x, alpha) signature."""
+    """g(x, alpha) = x (x +_F alpha) over the (x, alpha) signature (memoized)."""
     F = fgl_from_log(p, x_order + 1, alpha_order, check=False)
     sig = signature(("x", "alpha"), (x_order + 1, alpha_order))
     x = TruncatedSeries.variable(sig, p.ring, "x")

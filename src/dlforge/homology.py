@@ -20,6 +20,7 @@ from .expressions import (
     QOp,
     Sum,
     UnknownGeneratorError,
+    binomial_mod2,
     parse_expression,
 )
 from .polynomial import (
@@ -28,7 +29,6 @@ from .polynomial import (
     Generator,
     GradedPolynomial,
     PolynomialRing,
-    binomial_mod2,
     graded_inverse,
 )
 from .rewriting import CartanExtension, DLPolynomial
@@ -247,21 +247,22 @@ class DualSteenrodAlgebra(DLModel):
         failures = []
         checked = []
 
-        def record(label, ok, detail):
+        def record(label, ok, detail, *args):
+            # the detail is formatted only for a failing comparison
             checked.append(label)
             if not ok:
-                failures.append((label, detail))
+                failures.append((label, detail % args))
 
         for i in range(1, self.top_index + 1):
             residual = self.sum_products(
                 (self.xi(i - j, 2**j), self.antipode_xi(j)) for j in range(i + 1)
             )
-            record("milnor-recursion-%d" % i, residual.is_zero(), str(residual))
+            record("milnor-recursion-%d" % i, residual.is_zero(), "%s", residual)
         for i in range(1, self.top_index + 1):
             record(
                 "inverse-matches-conjugate-%d" % i,
                 self._inverse_component(2**i - 1) == self.antipode_xi(i),
-                "degree %d" % (2**i - 1),
+                "degree %d", 2**i - 1,
             )
         for i in range(1, self.top_index):
             target = 2 ** (i + 1)
@@ -270,7 +271,7 @@ class DualSteenrodAlgebra(DLModel):
             record(
                 "conjugate-ladder-%d" % i,
                 self.conjugate_action(2**i, i) == self.antipode_xi(i + 1),
-                "Q^{2^%d} xibar_%d" % (i, i),
+                "Q^{2^%d} xibar_%d", i, i,
             )
         for i in range(1, self.top_index + 1):
             d = 2**i - 1
@@ -280,7 +281,7 @@ class DualSteenrodAlgebra(DLModel):
             record(
                 "conjugate-square-%d" % i,
                 self.conjugate_action(d, i) == bar * bar,
-                "Q^%d xibar_%d" % (d, i),
+                "Q^%d xibar_%d", d, i,
             )
         for i in range(1, min(3, self.top_index) + 1):
             for s in range(0, min(12, self.max_degree - (2**i - 1))):
@@ -289,7 +290,7 @@ class DualSteenrodAlgebra(DLModel):
                 record(
                     "case-vs-cartan-%d-%d" % (i, s),
                     case == cartan,
-                    "Q^%d xibar_%d: %s vs %s" % (s, i, case, cartan),
+                    "Q^%d xibar_%d: %s vs %s", s, i, case, cartan,
                 )
         return checked, failures
 
@@ -309,6 +310,7 @@ class MUHomology(DLModel):
         gens = [Generator("b%d" % k, 2 * k) for k in range(1, count + 1)]
         super().__init__("h-mu", PolynomialRing(GF2, gens), max_degree)
         self.top_index = count
+        self._numerators = {}
 
     def b(self, k):
         if k == 0:
@@ -321,23 +323,29 @@ class MUHomology(DLModel):
             return 1
         return binomial_mod2(n - k + u - 1, u)
 
+    def _numerator(self, n, k):
+        """sum_u binom(n-k+u-1, u) b_{n+u} b_{k-u}, of degree 2(n + k); kept
+        per (n, k), since every Q^j b_k with 2k + j >= 2(n + k) reads it."""
+        part = self._numerators.get((n, k))
+        if part is None:
+            # b_i is generator i - 1, b_0 = 1, and distinct u give distinct monomials
+            pack = self.ring.pack
+            part = self._numerators[n, k] = GradedPolynomial(self.ring, {
+                pack(((n + u - 1, 1), (k - u - 1, 1)) if u < k else ((n + k - 1, 1),)): 1
+                for u in range(k + 1)
+                if self._priddy_binom(n, k, u)
+            })
+        return part
+
     def generator_action(self, j, index):
         k = index + 1
         d = 2 * k + j
         if d > self.max_degree:
             raise ValueError("Q%d b%d lands beyond the degree cap" % (j, k))
-        ring, pack = self.ring, self.ring.pack
-        pairs = []
-        for n in range(k, d // 2 - k + 1):
-            # sum_u b_{n+u} b_{k-u} has degree 2(n + k); b_i is generator
-            # i - 1, b_0 = 1, and distinct u give distinct monomials
-            part = {
-                pack(((n + u - 1, 1), (k - u - 1, 1)) if u < k else ((n + k - 1, 1),)): 1
-                for u in range(k + 1)
-                if self._priddy_binom(n, k, u)
-            }
-            pairs.append((GradedPolynomial(ring, part), self._inverse_component(d - 2 * (n + k))))
-        value = ring.sum_products(pairs)
+        value = self.ring.sum_products(
+            (self._numerator(n, k), self._inverse_component(d - 2 * (n + k)))
+            for n in range(k, d // 2 - k + 1)
+        )
         if d % 2 == 1 and not value.is_zero():
             raise ModelInconsistencyError(
                 "odd-degree operation Q%d b%d is nonzero: %s" % (j, k, value)

@@ -29,8 +29,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .expressions import binomial_mod2
 from .formal_groups import PowerOpResult, appendix_pipeline
-from .polynomial import GF2, Generator, PolynomialRing, binomial_mod2
+from .polynomial import GF2, Generator, PolynomialRing
 
 __all__ = [
     "IdentificationError",

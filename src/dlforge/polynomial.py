@@ -46,6 +46,8 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
+from .expressions import Value, _set, binomial_mod2
+
 __all__ = [
     "FIELD_BITS",
     "FIELD_LIMIT",
@@ -139,32 +141,6 @@ QQ = _QQ()
 FIELD_BITS = 32
 FIELD_LIMIT = 1 << (FIELD_BITS - 1)  # the first exponent or degree a field cannot hold
 _FIELD_MASK = (1 << FIELD_BITS) - 1
-_set = object.__setattr__
-
-
-class Value:
-    """An immutable value: its ``__slots__`` are its fields, compared and hashed as a tuple.
-    Each subclass's ``__init__`` sets them through ``_set``, since ``__setattr__`` raises."""
-
-    __slots__ = ()
-
-    def _key(self):
-        return tuple(map(self.__getattribute__, self.__slots__))
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __setattr__(self, name, *value):
-        raise AttributeError("cannot assign to or delete field %r" % name)
-
-    __delattr__ = __setattr__
-
-    def __repr__(self):
-        pairs = map("%s=%r".__mod__, zip(self.__slots__, self._key()))
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(pairs))
 
 
 class Generator(Value):
@@ -177,16 +153,6 @@ class Generator(Value):
             raise ValueError("generator needs a name")
         _set(self, "name", name)
         _set(self, "degree", degree)
-
-
-def binomial_mod2(n, k):
-    """Binomial coefficient mod 2 via the bitmask form of Lucas' theorem.
-
-    Out-of-range arguments (negative, or k > n) give 0.
-    """
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return 1 if (n - k) & k == 0 else 0
 
 
 class PolynomialRing:

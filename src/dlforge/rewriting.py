@@ -29,11 +29,11 @@ from .expressions import (
     Product,
     QOp,
     Sum,
+    binomial_mod2,
     guarded,
     homogeneous_degree,
     parse_expression,
 )
-from .polynomial import binomial_mod2
 
 __all__ = [
     "DLPolynomial",

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .expressions import Value, _set
 from .polynomial import (
     FIELD_BITS,
     Generator,
     GradedPolynomial,
     PolynomialRing,
-    Value,
     _power,
-    _set,
 )
 
 __all__ = ["SeriesSignature", "TruncatedSeries", "series_ring", "signature"]

@@ -205,11 +205,13 @@ def test_pipeline_is_memoized_after_filling_in_defaults():
 
 
 def clear_memos():
-    # the pipeline, exponential and <2> memos together, so that the counts
-    # below do not depend on which tests ran first
+    # the pipeline, exponential, n-series, <2> and isogeny memos together, so
+    # that the counts below do not depend on which tests ran first
     formal_groups._appendix_pipeline.cache_clear()
     formal_groups.LogarithmPreset.exp_series.cache_clear()
+    n_series.cache_clear()
     bracket2_series.cache_clear()
+    isogeny_g.cache_clear()
 
 
 def test_pipeline_does_a_pinned_number_of_series_products(monkeypatch):
@@ -225,11 +227,11 @@ def test_pipeline_does_a_pinned_number_of_series_products(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
     clear_memos()
     assert all(ok for _, ok in appendix_pipeline(2).checks)
-    assert len(calls) == 39
+    assert len(calls) == 36
 
 
 def test_pipeline_does_a_pinned_number_of_kernel_products(monkeypatch):
-    # each of the 39 series products is one kernel product; the rest
+    # each of the 36 series products is one kernel product; the rest
     # substitute series (one product per image power and per term factor),
     # scale by non-constant coefficients, invert series in their series ring,
     # or multiply in the coefficient ring
@@ -243,7 +245,7 @@ def test_pipeline_does_a_pinned_number_of_kernel_products(monkeypatch):
     monkeypatch.setattr(GradedPolynomial, "__mul__", counted)
     clear_memos()
     assert all(ok for _, ok in appendix_pipeline(2).checks)
-    assert len(calls) == 212
+    assert len(calls) == 204
 
 
 def test_reduction_raises_when_its_pass_budget_runs_out(monkeypatch):

@@ -130,13 +130,45 @@ def shared_bit_inverse(ring, d, memo):
 
 
 def test_self_check_fails_when_two_generators_share_a_bit(monkeypatch):
-    # negative control for the inverse: the model and its suite row must see it
+    # negative control for the inverse: the model and its suite row must see
+    # it, and each failure names what disagrees
     monkeypatch.setattr(homology, "graded_inverse", shared_bit_inverse)
     _, failures = DualSteenrodAlgebra(40).self_check()
-    assert failures
+    assert failures == [
+        ("inverse-matches-conjugate-4", "degree 15"),
+        ("inverse-matches-conjugate-5", "degree 31"),
+        ("conjugate-ladder-3", "Q^{2^3} xibar_3"),
+        ("conjugate-square-2", "Q^3 xibar_2"),
+        ("conjugate-square-3", "Q^7 xibar_3"),
+        ("conjugate-square-4", "Q^15 xibar_4"),
+    ]
     monkeypatch.setattr(suites, "dual_steenrod", DualSteenrodAlgebra)  # not the cached model
-    rows = {row["id"]: row["status"] for row in run_suite("steinberger")["checks"]}
-    assert rows["10-self-check"] == "fail"
+    rows = {row["id"]: row for row in run_suite("steinberger")["checks"]}
+    assert rows["10-self-check"]["status"] == "fail"
+    assert rows["10-self-check"]["witness"] == (
+        "inverse-matches-conjugate-4: degree 15; inverse-matches-conjugate-5: degree 31;"
+        " conjugate-ladder-3: Q^{2^3} xibar_3"
+    )
+    # a wrong Cartan route shows both sides of the comparison
+    monkeypatch.undo()
+    right = DualSteenrodAlgebra.q_conjugate
+
+    def wrong(self, s, i):
+        value = right(self, s, i)
+        return value + self.xi(1) ** 3 if (s, i) == (2, 1) else value
+
+    monkeypatch.setattr(DualSteenrodAlgebra, "q_conjugate", wrong)
+    _, failures = DualSteenrodAlgebra(40).self_check()
+    assert failures == [("case-vs-cartan-1-2", "Q^2 xibar_1: xi2 + xi1^3 vs xi2")]
+
+
+def test_a_passing_self_check_prints_no_element(monkeypatch):
+    # the detail of a comparison is text for a failure only
+    printed = []
+    real = GradedPolynomial.__str__
+    monkeypatch.setattr(GradedPolynomial, "__str__", lambda p: printed.append(p) or real(p))
+    checked, failures = DualSteenrodAlgebra(40).self_check()
+    assert (len(checked), failures, len(printed)) == (53, [], 0)
 
 
 def test_top_conjugate_is_indecomposable_mod_decomposables():

@@ -635,7 +635,9 @@ def denormal_coefficients_of_a_cold_run(monkeypatch):
     with denominator 1, and the number of QQ elements built."""
     memos = (
         formal_groups._appendix_pipeline,
+        formal_groups.n_series,
         formal_groups.bracket2_series,
+        formal_groups.isogeny_g,
         formal_groups.LogarithmPreset.exp_series,
     )
     built = []

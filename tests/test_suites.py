@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -210,3 +212,28 @@ def test_each_shared_fact_is_computed_once_per_run(monkeypatch, name, scans, cha
     residual_calls = _count_calls(monkeypatch, "juggling_residual")
     assert run_suite(name, {"scrub_timing": True})["overall"] == "pass"
     assert (len(scan_calls), chain_calls, len(residual_calls)) == (scans, chains, residuals)
+
+
+# a fresh interpreter, so that no memo holds a value from another test
+COLD_RUN_COUNTS = """\
+import json
+from dlforge import formal_groups, polynomial
+from dlforge.suites import run_suite
+
+packs = []
+pack = polynomial.PolynomialRing.pack
+polynomial.PolynomialRing.pack = lambda ring, mono: packs.append(None) or pack(ring, mono)
+overall = run_suite("all", {"scrub_timing": True})["overall"]
+built = [memo.cache_info().misses for memo in (formal_groups.isogeny_g, formal_groups.n_series)]
+print(json.dumps([overall, *built, len(packs)]))
+"""
+
+
+def test_a_cold_run_builds_each_series_and_priddy_numerator_once():
+    # 4 isogenies, as the four alpha-order-24 pipelines share one; the
+    # 2-series of 7 (preset, order) pairs, each built once beside its <2>;
+    # and 957 packed monomials, as each Priddy numerator is packed once, not
+    # each time an action reads it (2,269 then)
+    proc = subprocess.run([sys.executable, "-c", COLD_RUN_COUNTS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["pass", 4, 7, 957]
