@@ -8,9 +8,9 @@ modules load; a default-cap run allocates far fewer objects than
 argparse has exited for ``--help`` or a usage error, it flushes stdout and
 stderr and ends the process with ``os._exit``, skipping the interpreter's
 teardown of a heap that dies with the process anyway.  Output that cannot be
-written (a full disk, ``> /dev/full``) gives exit code 2 and one ``error:``
-line, as any other input or output error does.  Importing this module
-changes nothing.
+written (a full disk, ``> /dev/full``), argparse's help included, gives exit
+code 2 and one ``error:`` line, as any other input or output error does.
+Importing this module changes nothing.
 """
 
 import gc
@@ -31,6 +31,9 @@ def run():
         code = main()
     except SystemExit as exc:  # argparse's usage errors and --help
         code = exc.code
+    except OSError as exc:  # argparse could not write its help or usage
+        code = 2
+        sys.stderr.write("error: %s\n" % exc)
     try:
         try:
             sys.stdout.flush()

@@ -111,8 +111,18 @@ def _cmd_en_level(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose help and usage writes raise ``OSError``
+    (argparse's own ignores it, so with unbuffered output a failed write of
+    ``--help`` would exit 0); the subcommand parsers are of this class too."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dlforge",
         description="verification suites and rewriting for mod-2 operation calculus",
     )

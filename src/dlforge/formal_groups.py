@@ -135,9 +135,29 @@ def fgl_from_log(p, x_order, y_order, check=True):
     return F
 
 
+# (preset, n, variable) -> the highest-order n-series built so far
+_TOP_N_SERIES = {}
+
+
 @lru_cache(maxsize=64)
 def n_series(p, n, order, var="t"):
-    """The n-series [n](t) = exp(n log t), checked to be integral (memoized)."""
+    """The n-series [n](t) = exp(n log t), checked to be integral (memoized).
+
+    A lower order is a truncation of a higher one, so each (preset, n,
+    variable) builds again only for an order above the highest built so
+    far, and truncates that one for any lower order.  Below order 2 the
+    variable itself is truncated away and exp has no compositional inverse,
+    so such an order is always built, and raises.
+    """
+    top = _TOP_N_SERIES.get((p, n, var))
+    if top is None or top.sig.orders[0] < order or order < 2:
+        top = _TOP_N_SERIES[p, n, var] = _build_n_series(p, n, order, var)
+    if top.sig.orders[0] == order:
+        return top
+    return top.retruncate(signature((var,), (order,)))
+
+
+def _build_n_series(p, n, order, var):
     sig = signature((var,), (order,))
     log = p.log_series(sig, var)
     series = p.exp_series(sig, var).substitute({var: log.scale(n)})

@@ -10,8 +10,7 @@ disagreement, an implementation bug, instead of papering over it.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 
 from .expressions import (
     GenRef,
@@ -65,7 +64,8 @@ class DLModel(CartanExtension):
     memoized per (s, key); the tables are append-only and deterministic.
     Both models read their actions off the inverse of 1 plus the sum of all
     ring generators, whose components ``graded_inverse`` enumerates into the
-    memo ``_inverse``.
+    memo ``_inverse``; ``_components`` keeps each component as an element,
+    so every read shares one element and its key span.
     """
 
     is_zero = staticmethod(GradedPolynomial.is_zero)
@@ -80,9 +80,11 @@ class DLModel(CartanExtension):
         self.one = ring.one()
         self._mono_cache = {}
         self._inverse = {}
+        self._components = {}
         self.sum_products = ring.sum_products
-        # the lowest bit of every field of a key
+        # the lowest bit of every field of a key, and of every exponent field
         self._low_bits = ring.guard >> (FIELD_BITS - 1)
+        self._odd_bits = self._low_bits - 1
 
     def generator_action(self, s, index):
         raise NotImplementedError
@@ -97,17 +99,25 @@ class DLModel(CartanExtension):
         return None if mono & self._low_bits else mono >> 1
 
     def peel(self, mono):
+        odd = mono & self._odd_bits  # one copy of each generator of odd exponent
         rest = mono >> FIELD_BITS
-        index = ((rest & -rest).bit_length() - 1) // FIELD_BITS
-        first = (1 << FIELD_BITS * (index + 1)) + self.ring.degrees[index]
-        return first, self.ring.degrees[index], mono - first
+        if odd >> FIELD_BITS == rest:  # square-free: peel the first generator
+            index = ((rest & -rest).bit_length() - 1) // FIELD_BITS
+            first = (1 << FIELD_BITS * (index + 1)) + self.ring.degrees[index]
+            return first, self.ring.degrees[index], mono - first
+        degree, bits = 0, odd
+        while bits:
+            low = bits & -bits
+            degree += self.ring.degrees[low.bit_length() // FIELD_BITS - 1]
+            bits ^= low
+        return mono - odd - degree, self.mono_degree(mono) - degree, odd + degree
 
     def square(self, p):
         """p^2 by Frobenius: doubling a key squares its monomial, and distinct
         keys double to distinct keys.  A field at or above 2^(FIELD_BITS - 2)
         goes through the product, which raises ``OverflowError``."""
         ring = self.ring
-        if ring.limited or reduce(or_, p.terms, 0) & ring.top_bits:
+        if ring.limited or p.span() & ring.top_bits:
             return p * p
         return GradedPolynomial(ring, dict.fromkeys([m << 1 for m in p.terms], 1))
 
@@ -116,7 +126,12 @@ class DLModel(CartanExtension):
         if s < 0:
             raise ValueError("operations have non-negative superscripts")
         terms = element.terms
-        if terms and s + max(map(self.mono_degree, terms)) > self.max_degree:
+        # the span's degree field bounds the top degree from above
+        if (
+            s + self.mono_degree(element.span()) > self.max_degree
+            and terms
+            and s + max(map(self.mono_degree, terms)) > self.max_degree
+        ):
             raise ValueError(
                 "Q%d lands beyond the model's degree cap %d" % (s, self.max_degree)
             )
@@ -127,12 +142,16 @@ class DLModel(CartanExtension):
         return self.ring.sum(self.apply_mono(s, mono) for mono in terms)
 
     def _inverse_component(self, d):
-        """Degree-d component of (1 + sum of the ring generators)^{-1}."""
-        if d > self.max_degree:
-            raise ValueError(
-                "degree %d is beyond the model's degree cap %d" % (d, self.max_degree)
-            )
-        return graded_inverse(self.ring, d, self._inverse)
+        """Degree-d component of (1 + sum of the ring generators)^{-1}, one
+        element per degree."""
+        component = self._components.get(d)
+        if component is None:
+            if d > self.max_degree:
+                raise ValueError(
+                    "degree %d is beyond the model's degree cap %d" % (d, self.max_degree)
+                )
+            component = self._components[d] = graded_inverse(self.ring, d, self._inverse)
+        return component
 
     # -- basis enumeration and decomposability --------------------------------
 

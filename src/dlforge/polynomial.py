@@ -34,6 +34,18 @@ monomial toggles in or out (XOR), over Q a coefficient that cancels is popped.
 Over GF2 ``sum_products`` toggles each product monomial straight into the
 accumulator, so it builds no product on its own.
 
+An element keeps the OR of its keys, its *key span*, once something asks
+for it (``GradedPolynomial.span``).  The span has a nonzero field for each
+generator that occurs, and each of its fields is at least the largest value
+that field takes in a monomial.  So one AND with it tells whether a product
+with the element can come near a guard bit, and its degree field bounds the
+element's top degree from above.
+
+``GradedPolynomial.map_generators`` maps a factor whose image is one term
+c m by key arithmetic: x^e adds e times the key of m to the term's key and
+multiplies its scalar by c^e.  A term whose factors all have one-term
+images costs no product.
+
 Only ``PolynomialRing``, the series rings of ``series`` and the Cartan
 primitives of ``homology.DLModel`` know this layout;
 ``PolynomialRing.pack`` and ``PolynomialRing.unpack`` convert from and to
@@ -291,7 +303,7 @@ class PolynomialRing:
             if a.ring is not self or b.ring is not self:
                 raise ValueError("elements of different rings")
             left, right = a.terms, b.terms
-            if (reduce(or_, left, 0) | reduce(or_, right, 0)) & top:
+            if (a.span() | b.span()) & top:
                 left, right = a._checked_mul(b), (0,)  # its monomials, times 1
             for m1 in left:
                 for m2 in right:
@@ -333,12 +345,13 @@ class PolynomialRing:
 class GradedPolynomial:
     """An element of a ``PolynomialRing``.  Treat as immutable."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_span")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._span = None
 
     # -- ring structure ---------------------------------------------------
 
@@ -410,6 +423,12 @@ class GradedPolynomial:
             self._hash = hash((id(self.ring), tuple(sorted(self.terms.items()))))
         return self._hash
 
+    def span(self):
+        """The OR of the keys (see the module notes), kept once computed."""
+        if self._span is None:
+            self._span = reduce(or_, self.terms, 0)
+        return self._span
+
     # -- grading ----------------------------------------------------------
 
     def is_zero(self):
@@ -471,39 +490,83 @@ class GradedPolynomial:
 
         ``images`` maps each generator name appearing in ``self`` to an
         element of ``target_ring``; scalars map along the identity.  A term
-        with a factor that maps to zero is skipped before any product, and a
-        factor that maps to one costs no product.
-        Each power of an image is built once per call, from a smaller one,
-        and shared by every term that needs it.
+        with a factor that maps to zero is skipped before any product.  A
+        factor whose image is one term c m costs no product: x^e adds e times
+        the key of m to the term's key and multiplies its scalar by c^e (an
+        image of one is the case of key 0).  The powers of the other images
+        are each built once per call, from a smaller one, and shared by every
+        term that needs them; their product is shifted by the term's key.
+        A term whose key arithmetic would reach a guard bit is multiplied out
+        instead, so that ``OverflowError`` and the target's limits act as the
+        products have them act.
         """
-        unpack = self.ring.unpack
-        one = target_ring.scalars.one
-        dead = unit = 0  # the fields of the generators that map to zero, and to one
+        sc = target_ring.scalars
+        guard, limit, limited = target_ring.guard, target_ring.limit, target_ring.limited
+        dead = 0  # the fields of the generators that map to zero
+        keyed = []  # (field shift, key, scalar, largest exponent) of each one-term image
+        multiplied = []  # (index, field shift) of each image of more terms
         powers = {}  # (generator index, exponent) -> power of its image
-        # the OR of all keys has a nonzero field for each generator that occurs
-        for i, _ in unpack(reduce(or_, self.terms, 0)):
+        for i, _ in self.ring.unpack(self.span()):
             name = self.ring.generators[i].name
             if name not in images:
                 raise KeyError("no image for generator %r" % name)
             image = powers[i, 1] = images[name]
             if image.ring is not target_ring:
                 raise ValueError("elements of different rings")
+            shift = FIELD_BITS * (i + 1)
             if image.is_zero():
-                dead |= _FIELD_MASK << FIELD_BITS * (i + 1)
-            elif image.terms == {0: one}:
-                unit |= _FIELD_MASK << FIELD_BITS * (i + 1)
-        terms = []
+                dead |= _FIELD_MASK << shift
+            elif len(image.terms) == 1:
+                ((key, c),) = image.terms.items()
+                # e times the key has every field below FIELD_LIMIT, so no carry
+                widest = max([key & _FIELD_MASK] + [e for _, e in target_ring.unpack(key)])
+                keyed.append((shift, key, c, (FIELD_LIMIT - 1) // widest if widest else FIELD_LIMIT))
+            else:
+                multiplied.append((i, shift))
+
+        def keyed_term(mono, coeff):
+            # the (key, scalar) pairs of one term, or None at a guard bit
+            key = 0
+            for shift, m, c, most in keyed:
+                e = mono >> shift & _FIELD_MASK
+                if e:
+                    if e > most or (key := key + e * m) & guard:
+                        return None
+                    if c != sc.one:
+                        coeff = sc.mul(coeff, c**e)
+            product = None
+            for i, shift in multiplied:
+                e = mono >> shift & _FIELD_MASK
+                if e:
+                    p = _power(powers, i, e)
+                    product = p if product is None else product * p
+            if product is None:
+                return ((key, coeff),)
+            out = [(m + key, sc.mul(c, coeff)) for m, c in product.terms.items()]
+            return None if any(m & guard for m, _ in out) else out
+
+        out = {}
         for mono, coeff in self.terms.items():
             if mono & dead:
                 continue
-            term = None
-            for i, e in unpack(mono & ~unit):
-                p = _power(powers, i, e)
-                term = p if term is None else term * p
-            if term is None:
-                term = target_ring.one()
-            terms.append(term if coeff == one else term.scale(coeff))
-        return target_ring.sum(terms)
+            found = keyed_term(mono, coeff)
+            if found is None:
+                term = None
+                for i, e in self.ring.unpack(mono):
+                    p = _power(powers, i, e)
+                    term = p if term is None else term * p
+                found = [(m, sc.mul(c, coeff)) for m, c in term.terms.items()]
+            for m, c in found:
+                if limited and ((m | guard) - limit) & limited:
+                    continue
+                s = out.get(m)
+                if s is not None:
+                    c = sc.add(s, c)
+                if c != sc.zero:
+                    out[m] = c
+                else:
+                    del out[m]
+        return GradedPolynomial(target_ring, out)
 
     # -- display ------------------------------------------------------------
 

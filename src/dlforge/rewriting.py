@@ -83,20 +83,23 @@ class CartanExtension:
     The recursion follows Cohen-Lada-May (LNM 533, III.1): Q^s 1 is 1 for
     s = 0 and 0 otherwise; a lone generator goes to ``generator_action``; an
     all-even monomial m^2 takes the square rule Q^{2s}(m^2) = (Q^s m)^2, with
-    the odd operations zero; any other monomial peels one copy u of its first
-    generator by the Cartan formula Q^s(u v) = sum Q^i u Q^{s-i} v, where
-    instability makes Q^i u vanish below i = |u|.  Values are memoized per
-    (s, monomial) in ``_mono_cache``, which is read before each recursion.
+    the odd operations zero; any other monomial is split as u v by ``peel``
+    and takes the Cartan formula Q^s(u v) = sum Q^i u Q^{s-i} v, where
+    instability makes Q^i u vanish below i = |u|.  A square-free monomial
+    peels one copy of its first generator; any other peels its square part
+    u = m^2 off its square-free part v, so each Q^i(m^2) takes the square
+    rule, and the pairs Q^i x Q^j x + Q^j x Q^i x that cancel mod 2 are
+    never built.  Values are memoized per (s, monomial) in ``_mono_cache``,
+    which is read before each recursion.
 
     Only the empty monomial is false; subclasses read the rest through four
     primitives: ``mono_degree``, ``lone_generator`` (the generator when the
     monomial is one generator to the first power, else None), ``halve`` (the
-    half of an all-even monomial, else None) and ``peel`` (one copy of the
-    first generator, its degree, the rest).  They also supply ``zero``, ``one``,
-    ``is_zero``, ``sum_products`` of ``(left, right)`` pairs, ``square``,
-    ``degrees`` (the sorted degrees present in a value) and
-    ``generator_action``: ``_Engine`` on sorted (word, exponent) tuples and
-    ``homology.DLModel`` on packed keys.
+    half of an all-even monomial, else None) and ``peel`` (u, its degree,
+    v).  They also supply ``zero``, ``one``, ``is_zero``, ``sum_products``
+    of ``(left, right)`` pairs, ``square``, ``degrees`` (the sorted degrees
+    present in a value) and ``generator_action``: ``_Engine`` on sorted
+    (word, exponent) tuples and ``homology.DLModel`` on packed keys.
     """
 
     def apply_mono(self, s, mono):
@@ -162,9 +165,14 @@ class _Engine(CartanExtension):
         return None if any(e % 2 for _, e in mono) else tuple((w, e // 2) for w, e in mono)
 
     def peel(self, mono):
-        w, e = mono[0]
-        rest = mono[1:] if e == 1 else ((w, e - 1),) + mono[1:]
-        return ((w, 1),), self.generator_degree(w), rest
+        for _, e in mono:
+            if e > 1:
+                break
+        else:  # square-free
+            w = mono[0][0]
+            return ((w, 1),), self.generator_degree(w), mono[1:]
+        square = tuple((w, e & -2) for w, e in mono if e > 1)
+        return square, self.mono_degree(square), tuple((w, 1) for w, e in mono if e & 1)
 
     def degrees(self, p):
         return sorted({self.mono_degree(m) for m in p})

@@ -351,28 +351,31 @@ def test_both_entry_points_run_the_command_of_cli_main(tmp_path, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, printed, str(GEN0_THRESHOLD))
 
 
-SHORT, LONG = ("--suite", "big-relation", "--no-timing"), ("--suite", "all", "--no-timing")
+SHORT = ("run", "--suite", "big-relation", "--no-timing")
+LONG = ("run", "--suite", "all", "--no-timing")
 
 
-# unbuffered, argparse drops a failed write of its help, so --help runs buffered only
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
 @pytest.mark.parametrize("command, unbuffered", [
     pytest.param(SHORT, False, id="short-buffered"),
     pytest.param(SHORT, True, id="short-unbuffered"),
     pytest.param(LONG, False, id="long-buffered"),
     pytest.param(LONG, True, id="long-unbuffered"),
-    pytest.param(("--help",), False, id="help-buffered"),
+    pytest.param(("run", "--help"), False, id="help-buffered"),
+    pytest.param(("run", "--help"), True, id="help-unbuffered"),
+    pytest.param(("--help",), True, id="top-help-unbuffered"),
 ])
 def test_an_unwritable_stdout_is_one_error_line_and_exit_2(command, unbuffered):
-    # a short report or argparse's help fails when run() flushes it, a long
-    # report inside main; either way the process says so once and never
-    # prints a traceback
+    # buffered, a short report or argparse's help fails when run() flushes
+    # it; a long report, or unbuffered output, fails inside main (argparse's
+    # help write raises instead of being ignored); either way the process
+    # says so once and never prints a traceback
     env = buffered_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "dlforge", "run", *command],
+            [sys.executable, "-m", "dlforge", *command],
             stdout=full, stderr=subprocess.PIPE, text=True, env=env,
         )
     assert proc.returncode == 2

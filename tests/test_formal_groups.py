@@ -61,6 +61,32 @@ def test_n_series_is_formally_additive():
         assert F.substitute(images) == lhs, (m, n)
 
 
+@pytest.mark.parametrize("name", ["additive", "appendix-z-v3"])
+def test_a_truncated_n_series_equals_a_fresh_build(name):
+    # the higher order is asked for first, so the lower ones are truncations
+    p = preset(name)
+    clear_memos()
+    try:
+        for var, n in (("alpha", 2), ("t", 3)):
+            top = n_series(p, n, 25, var)
+            assert formal_groups._TOP_N_SERIES[p, n, var] is top
+            for order in (24, 19, 15, 2):
+                series = n_series(p, n, order, var)
+                assert series.sig == signature((var,), (order,))
+                assert series == formal_groups._build_n_series(p, n, order, var), (var, n, order)
+                assert n_series(p, n, order, var) is series
+            # below order 2 no series has a linear term: a build raises, and
+            # so does a truncation, whatever was built before
+            for order in (1, 0):
+                with pytest.raises(ValueError, match="no linear term"):
+                    n_series(p, n, order, var)
+            # a higher order builds again and becomes the one truncated
+            assert n_series(p, n, 30, var).retruncate(top.sig) == top
+            assert formal_groups._TOP_N_SERIES[p, n, var].sig.orders == (30,)
+    finally:
+        clear_memos()
+
+
 def test_two_series_on_the_appendix_ring():
     p = preset("appendix-z-v3")
     two = bracket2_series(p, order=10)
@@ -210,13 +236,15 @@ def clear_memos():
     formal_groups._appendix_pipeline.cache_clear()
     formal_groups.LogarithmPreset.exp_series.cache_clear()
     n_series.cache_clear()
+    formal_groups._TOP_N_SERIES.clear()
     bracket2_series.cache_clear()
     isogeny_g.cache_clear()
 
 
 def test_pipeline_does_a_pinned_number_of_series_products(monkeypatch):
     # an exact work count, so waste in the series layer fails here even on a
-    # machine too noisy to time it
+    # machine too noisy to time it; each lower order of the 2-series is a
+    # truncation, not a fresh exp(2 log)
     calls = []
     mul = TruncatedSeries.__mul__
 
@@ -227,14 +255,15 @@ def test_pipeline_does_a_pinned_number_of_series_products(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
     clear_memos()
     assert all(ok for _, ok in appendix_pipeline(2).checks)
-    assert len(calls) == 36
+    assert len(calls) == 30
 
 
 def test_pipeline_does_a_pinned_number_of_kernel_products(monkeypatch):
-    # each of the 36 series products is one kernel product; the rest
-    # substitute series (one product per image power and per term factor),
-    # scale by non-constant coefficients, invert series in their series ring,
-    # or multiply in the coefficient ring
+    # each of the 30 series products is one kernel product; the rest
+    # substitute series (one product per power of an image of more than one
+    # term and per such factor of a term), scale by non-constant
+    # coefficients, invert series in their series ring, or multiply in the
+    # coefficient ring
     calls = []
     mul = GradedPolynomial.__mul__
 
@@ -245,7 +274,7 @@ def test_pipeline_does_a_pinned_number_of_kernel_products(monkeypatch):
     monkeypatch.setattr(GradedPolynomial, "__mul__", counted)
     clear_memos()
     assert all(ok for _, ok in appendix_pipeline(2).checks)
-    assert len(calls) == 204
+    assert len(calls) == 67
 
 
 def test_reduction_raises_when_its_pass_budget_runs_out(monkeypatch):

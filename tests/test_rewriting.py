@@ -505,6 +505,52 @@ def test_normalization_is_idempotent_on_corpus():
         assert once == again, text
 
 
+class FirstGeneratorEngine(rewriting._Engine):
+    """``_Engine.peel`` before it split off the square part: one copy of the
+    first generator of every monomial.  Kept as an oracle."""
+
+    def peel(self, mono):
+        w, e = mono[0]
+        rest = mono[1:] if e == 1 else ((w, e - 1),) + mono[1:]
+        return ((w, 1),), self.generator_degree(w), rest
+
+
+def powered_products(rng, count):
+    """Seeded Q^s of a product of one to three powers of words on x (degree 2)
+    and y (degree 1), with s at or above the product's degree."""
+    degrees = {"x": 2, "y": 1}
+    items = []
+    for _ in range(count):
+        factors, total = [], 0
+        for _ in range(rng.randint(1, 3)):
+            g = rng.choice("xy")
+            below, ops = degrees[g], []
+            for _ in range(rng.randint(0, 2)):
+                ops.append(below + rng.randint(0, 4))
+                below += ops[-1]
+            e = rng.randint(1, 5)
+            word = " ".join(["Q%d" % s for s in reversed(ops)] + [g])
+            factors.append(("(%s)^%d" if ops else "%s^%d") % (word, e))
+            total += below * e
+        items.append("Q%d (%s)" % (total + rng.randint(0, 8), " ".join(factors)))
+    return items
+
+
+def test_the_square_part_peel_matches_the_first_generator_peel():
+    # each engine on a fresh context, so neither reads the other's cached values
+    text = "gen x deg 2\ngen y deg 1\n"
+    new, old = parse_context(text), parse_context(text)
+    engine = FirstGeneratorEngine(old)
+    nonzero = 0
+    for item in powered_products(random.Random(2317), 150):
+        got = normalize(item, new)
+        assert got.monomials == engine.evaluate(parse_expression(item, old)), item
+        nonzero += not got.is_zero()
+    assert nonzero > 90
+    # the square rule takes each square part, so fewer values are memoized
+    assert len(new._mono_cache) < len(old._mono_cache)
+
+
 def test_normalize_is_additive():
     ctx = x_context()
     rng = random.Random(301)

@@ -96,6 +96,7 @@ def test_scrubbed_all_report_is_byte_stable():
     # row passes.
     for config, want in (
         ({}, "e5ee6ccea1976761e1586b8dc46b20e013a5c7ed50262a1c0a6e7881b0a7c2aa"),
+        ({"max_degree": 64}, "3bf86c8f1ae77443f8e5549beddf54b74d76917b07ca5e07580b88cfba2cd2a9"),
         ({"max_degree": 128}, "624e7c801dcae6d16d2788ae32c0abb3b1c0bb6ebdb914009a9c6ab2ff6b1e85"),
         ({"max_degree": 256}, "994a109f8ca9293353aaa621e921c26296ca251ad18eb1695c9b2ab2f672f280"),
         ({"max_degree": 512}, "fdae00b0f34a0cb9883bbe5a90d4d166158d64ab991360cebe0d488362eb6fed"),
@@ -223,17 +224,23 @@ from dlforge.suites import run_suite
 packs = []
 pack = polynomial.PolynomialRing.pack
 polynomial.PolynomialRing.pack = lambda ring, mono: packs.append(None) or pack(ring, mono)
+series = []
+build = formal_groups._build_n_series
+formal_groups._build_n_series = lambda p, *args: series.append([p.name, args[1]]) or build(p, *args)
 overall = run_suite("all", {"scrub_timing": True})["overall"]
-built = [memo.cache_info().misses for memo in (formal_groups.isogeny_g, formal_groups.n_series)]
-print(json.dumps([overall, *built, len(packs)]))
+print(json.dumps([overall, formal_groups.isogeny_g.cache_info().misses, series, len(packs)]))
 """
 
 
 def test_a_cold_run_builds_each_series_and_priddy_numerator_once():
-    # 4 isogenies, as the four alpha-order-24 pipelines share one; the
-    # 2-series of 7 (preset, order) pairs, each built once beside its <2>;
-    # and 957 packed monomials, as each Priddy numerator is packed once, not
-    # each time an action reads it (2,269 then)
+    # 4 isogenies, as the four alpha-order-24 pipelines share one; 3 builds
+    # of a 2-series (preset, order): the run asks for 7, appendix-z-v3 at
+    # 21, 15, 25, 19 and 17 and additive at 19 and 15, and each lower order
+    # truncates the highest built so far; and 904 packed monomials, as each
+    # Priddy numerator is packed once, not each time an action reads it
+    # (2,269 then), and a truncation packs nothing (957 with 7 builds)
     proc = subprocess.run([sys.executable, "-c", COLD_RUN_COUNTS], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == ["pass", 4, 7, 957]
+    assert json.loads(proc.stdout) == [
+        "pass", 4, [["appendix-z-v3", 21], ["additive", 19], ["appendix-z-v3", 25]], 904,
+    ]
