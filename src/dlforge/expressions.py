@@ -243,9 +243,9 @@ def _tokenize(text):
 
 
 class _Parser:
-    # Bound on open parentheses plus pending Q-operations, so that the
-    # recursive descent (and the recursive walks over the tree it returns)
-    # stay far below the interpreter's recursion limit.
+    # Bound on open parentheses plus pending Q-operations, so that this
+    # recursive-descent parser stays far below the interpreter's recursion
+    # limit on text input.
     MAX_NESTING = 100
 
     def __init__(self, tokens, context):
@@ -340,71 +340,124 @@ def parse_context(text):
     return GeneratorContext(gens, base=base)
 
 
+# -- the one tree walk ----------------------------------------------------------
+
+
+_DONE = object()  # what ``next`` gives once a node's children are used up
+
+
+def fold(node, gen, q, power, product, total):
+    """Fold an expression tree bottom-up: the value of each node from its children's.
+
+    ``gen(name)`` values a generator, ``q(s, arg)`` an operation, ``power(base,
+    exp)`` a power, and ``product(factors)`` and ``total(terms)`` take the list
+    of their children's values.  Children are folded left to right.  The stack
+    is explicit, so the tree's depth is bounded by memory, not by the
+    interpreter's recursion limit.  This is the only place that dispatches on
+    node class; anything else in the tree raises TypeError.
+    """
+    # The nodes above ``node``, innermost last: an operation or power as
+    # itself, a product or sum as (handler, children left, values so far).
+    waiting = []
+    push, pop = waiting.append, waiting.pop
+    while True:
+        cls = node.__class__
+        if cls is GenRef:
+            value = gen(node.name)
+        elif cls is QOp:
+            push(node)
+            node = node.arg
+            continue
+        elif cls is Power:
+            push(node)
+            node = node.base
+            continue
+        elif cls is Product or cls is Sum:
+            handler = product if cls is Product else total
+            children = iter(node.factors if cls is Product else node.terms)
+            first = next(children, _DONE)
+            if first is not _DONE:
+                push((handler, children, []))
+                node = first
+                continue
+            value = handler([])
+        else:
+            raise TypeError("not an expression node: %r" % (node,))
+        while waiting:  # climb while the node above has all its children's values
+            above = pop()
+            cls = above.__class__
+            if cls is QOp:
+                value = q(above.s, value)
+            elif cls is Power:
+                value = power(value, above.exp)
+            else:
+                handler, children, values = above
+                values.append(value)
+                node = next(children, _DONE)
+                if node is not _DONE:
+                    push(above)
+                    break
+                value = handler(values)
+        else:
+            return value
+
+
 # -- printing -----------------------------------------------------------------
 
 
-def guarded(action, walk, *args):
-    """``walk(*args)``, where a tree built in code too deep for the interpreter's
-    stack raises a one-line ValueError instead of RecursionError."""
-    try:
-        return walk(*args)
-    except RecursionError:
-        raise ValueError("expression nested too deeply to %s" % action) from None
+# Each node prints to (text, rank) and is parenthesized at every precedence
+# level from its rank up.  Levels: 0 sum, 1 product, 2 factor (powers and
+# operation applications), 3 primary.  An operation application is itself a
+# factor, so chains like Q12 Q8 x print flat; only a power forces parentheses
+# around its base.
+_PRINT = (
+    lambda name: (name, 4),
+    lambda s, arg: ("Q%d %s" % (s, arg[0] if arg[1] > 2 else "(%s)" % arg[0]), 3),
+    lambda base, exp: ("%s^%d" % (base[0] if base[1] > 3 else "(%s)" % base[0], exp), 3),
+    lambda factors: (" ".join([t if r > 2 else "(%s)" % t for t, r in factors]), 2),
+    lambda terms: (" + ".join([t if r > 1 else "(%s)" % t for t, r in terms]), 1),
+)
 
 
 def format_expression(node):
-    """Canonical textual form; parses back to an equal AST.  See ``guarded``."""
-    return guarded("print", _fmt, node, 0)
-
-
-# precedence levels: 0 sum, 1 product, 2 factor (powers and operation
-# applications), 3 primary.  An operation application is itself a factor,
-# so chains like Q12 Q8 x print flat; only a power forces parentheses
-# around its base.
-def _fmt(node, level):
-    if isinstance(node, GenRef):
-        return node.name
-    if isinstance(node, QOp):
-        text = "Q%d %s" % (node.s, _fmt(node.arg, 2))
-        return "(%s)" % text if level >= 3 else text
-    if isinstance(node, Power):
-        text = "%s^%d" % (_fmt(node.base, 3), node.exp)
-        return "(%s)" % text if level >= 3 else text
-    if isinstance(node, Product):
-        text = " ".join(_fmt(f, 2) for f in node.factors)
-        return "(%s)" % text if level >= 2 else text
-    if isinstance(node, Sum):
-        text = " + ".join(_fmt(t, 1) for t in node.terms)
-        return "(%s)" % text if level >= 1 else text
-    raise TypeError("not an expression node: %r" % (node,))
+    """Canonical textual form; parses back to an equal AST."""
+    return fold(node, *_PRINT)[0]
 
 
 # -- degree and E_n bookkeeping -----------------------------------------------
 
 
-def expression_degrees(node, context):
-    """Set of degrees of the homogeneous components of ``node``.  See ``guarded``."""
-    return guarded("grade", _degrees, node, context)
+def _graded(node, context):
+    """(degrees, witness) of ``node``: the set of degrees of its homogeneous
+    components, and the first (r, argument degree) pair, outermost first, with
+    the largest r - argument degree over its operation nodes (None if none)."""
 
+    def first_max(pairs):
+        return max([p for p in pairs if p], key=lambda p: p[0] - p[1], default=None)
 
-def _degrees(node, context):
-    if isinstance(node, GenRef):
-        return {context.degree(node.name)}
-    if isinstance(node, QOp):
-        return {node.s + d for d in _degrees(node.arg, context)}
-    if isinstance(node, Power):
-        return {node.exp * d for d in _degrees(node.base, context)}
-    if isinstance(node, Product):
+    def q(s, arg):
+        degs, witness = arg
+        return {s + d for d in degs}, first_max([degs and (s, min(degs)), witness])
+
+    def product(factors):
         degs = {0}
-        for f in node.factors:
-            degs = {a + b for a in degs for b in _degrees(f, context)}
-        return degs
-    if isinstance(node, Sum):
-        out = set()
-        for t in node.terms:
-            out |= _degrees(t, context)
-        return out
-    raise TypeError("not an expression node: %r" % (node,))
+        for f, _ in factors:
+            degs = {a + b for a in degs for b in f}
+        return degs, first_max(w for _, w in factors)
+
+    return fold(
+        node,
+        lambda name: ({context.degree(name)}, None),
+        q,
+        lambda base, exp: ({exp * d for d in base[0]}, base[1]),
+        product,
+        lambda terms: (set().union(*[t for t, _ in terms]), first_max(w for _, w in terms)),
+    )
+
+
+def expression_degrees(node, context):
+    """Set of degrees of the homogeneous components of ``node``."""
+    return _graded(node, context)[0]
 
 
 def homogeneous_degree(node, context):
@@ -414,29 +467,16 @@ def homogeneous_degree(node, context):
     return degs.pop()
 
 
-def _en_scan(node, context):
-    """Yield (r, argument degree) for every operation node."""
-    if isinstance(node, QOp):
-        for d in _degrees(node.arg, context):
-            yield (node.s, d)
-        yield from _en_scan(node.arg, context)
-    elif isinstance(node, Power):
-        yield from _en_scan(node.base, context)
-    elif isinstance(node, (Product, Sum)):
-        for child in node.factors if isinstance(node, Product) else node.terms:
-            yield from _en_scan(child, context)
-
-
 def min_en_level(node, context):
     """Least n so that every operation taken lives in an E_n-algebra.
 
     Applying Q^r to a class of degree s needs n >= r - s + 2.  The answer is
     the maximum of that bound over all operation nodes (1 if there are none).
     """
-    return max([1] + [r - d + 2 for r, d in guarded("scan", list, _en_scan(node, context))])
+    witness = en_level_witness(node, context)
+    return 1 if witness is None else max(1, witness[0] - witness[1] + 2)
 
 
 def en_level_witness(node, context):
     """The first (r, argument degree) pair realizing min_en_level, or None."""
-    pairs = guarded("scan", list, _en_scan(node, context))
-    return max(pairs, key=lambda pair: pair[0] - pair[1], default=None)
+    return _graded(node, context)[1]

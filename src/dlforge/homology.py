@@ -10,18 +10,10 @@ disagreement, an implementation bug, instead of papering over it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 
-from .expressions import (
-    GenRef,
-    Power,
-    Product,
-    QOp,
-    Sum,
-    UnknownGeneratorError,
-    binomial_mod2,
-    parse_expression,
-)
+from .expressions import UnknownGeneratorError, binomial_mod2, fold, parse_expression
 from .polynomial import (
     FIELD_BITS,
     GF2,
@@ -460,28 +452,20 @@ def evaluate_in_model(expr, assignment, model, context=None):
                     % (name, value.degrees_present(), want)
                 )
 
-    def walk(node):
-        if isinstance(node, GenRef):
-            try:
-                return assignment[node.name]
-            except KeyError:
-                raise UnknownGeneratorError(node.name) from None
-        if isinstance(node, QOp):
-            return model.q(node.s, walk(node.arg))
-        if isinstance(node, Power):
-            return walk(node.base) ** node.exp
-        if isinstance(node, Product):
-            if not node.factors:
-                return model.ring.one()
-            out = walk(node.factors[0])
-            for f in node.factors[1:]:
-                out = out * walk(f)
-            return out
-        if isinstance(node, Sum):
-            return model.ring.sum(walk(t) for t in node.terms)
-        raise TypeError("not an expression node: %r" % (node,))
+    def assigned(name):
+        try:
+            return assignment[name]
+        except KeyError:
+            raise UnknownGeneratorError(name) from None
 
-    return walk(expr)
+    return fold(
+        expr,
+        assigned,
+        model.q,
+        operator.pow,
+        lambda factors: reduce(operator.mul, factors) if factors else model.ring.one(),
+        model.ring.sum,
+    )
 
 
 def indecomposable_dimension(model, degree):

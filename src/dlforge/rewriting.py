@@ -30,7 +30,7 @@ from .expressions import (
     QOp,
     Sum,
     binomial_mod2,
-    guarded,
+    fold,
     homogeneous_degree,
     parse_expression,
 )
@@ -239,33 +239,29 @@ class _Engine(CartanExtension):
 
     # -- expression evaluation ---------------------------------------------------
 
+    def word(self, name):
+        """The value of the generator ``name``: the monomial of its empty word."""
+        self.ctx.degree(name)  # raises on unknown names
+        return frozenset({((((), name), 1),)})
+
+    def power(self, p, n):
+        out = _ONE
+        while n:
+            if n & 1:
+                out = self.mul(out, p)
+            p = self.square(p)  # Frobenius: (a+b)^2 = a^2 + b^2
+            n >>= 1
+        return out
+
+    def product(self, factors):
+        return reduce(self.mul, factors, _ONE)
+
+    @staticmethod
+    def total(terms):
+        return frozenset(reduce(operator.ixor, terms, set()))
+
     def evaluate(self, node):
-        if isinstance(node, GenRef):
-            self.ctx.degree(node.name)  # raises on unknown names
-            return frozenset({((((), node.name), 1),)})
-        if isinstance(node, Sum):
-            out = set()
-            for t in node.terms:
-                out ^= self.evaluate(t)
-            return frozenset(out)
-        if isinstance(node, Product):
-            out = _ONE
-            for f in node.factors:
-                out = self.mul(out, self.evaluate(f))
-            return out
-        if isinstance(node, Power):
-            base = self.evaluate(node.base)
-            out = _ONE
-            n = node.exp
-            while n:
-                if n & 1:
-                    out = self.mul(out, base)
-                base = self.square(base)  # Frobenius: (a+b)^2 = a^2 + b^2
-                n >>= 1
-            return out
-        if isinstance(node, QOp):
-            return self.apply_poly(node.s, self.evaluate(node.arg))
-        raise TypeError("not an expression node: %r" % (node,))
+        return fold(node, self.word, self.apply_poly, self.power, self.product, self.total)
 
 
 class DLPolynomial:
@@ -359,10 +355,10 @@ class DLPolynomial:
 
 
 def normalize(expr, context):
-    """Normal form of an expression (or source text) over ``context``.  See ``guarded``."""
+    """Normal form of an expression (or source text) over ``context``."""
     if isinstance(expr, str):
         expr = parse_expression(expr, context)
-    return DLPolynomial(context, guarded("normalize", _Engine(context).evaluate, expr))
+    return DLPolynomial(context, _Engine(context).evaluate(expr))
 
 
 def normalize_word(superscripts, generator, context, strategy="bottom-up"):
@@ -383,7 +379,7 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
     superscripts = tuple(superscripts)
     degree = context.degree(generator)  # raises on unknown names
     eng = _Engine(context)
-    base = eng.evaluate(GenRef(generator))
+    base = eng.word(generator)
 
     def on_generator(seq):
         return reduce(lambda poly, s: eng.apply_poly(s, poly), reversed(seq), base)

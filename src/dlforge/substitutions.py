@@ -9,7 +9,10 @@ any product of two or more module factors to zero.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
+from functools import reduce
 
 from .expressions import (
     GenRef,
@@ -17,9 +20,10 @@ from .expressions import (
     Product,
     QOp,
     Sum,
+    _joined,
     expression_degrees,
+    fold,
     format_expression,
-    guarded,
     parse_expression,
 )
 from .rewriting import DLPolynomial, normalize
@@ -85,35 +89,7 @@ class SubstitutionMap:
 
     def _subst(self, node):
         """Substitute images through an AST; None propagates as zero."""
-        return guarded("substitute", self._substitute, node)
-
-    def _substitute(self, node):
-        if node is None:
-            return None
-        if isinstance(node, GenRef):
-            return self.image(node.name)
-        if isinstance(node, QOp):
-            arg = self._substitute(node.arg)
-            return None if arg is None else QOp(node.s, arg)
-        if isinstance(node, Power):
-            if node.exp == 0:
-                raise ValueError("zeroth powers are not substitutable")
-            base = self._substitute(node.base)
-            return None if base is None else Power(base, node.exp)
-        if isinstance(node, Product):
-            factors = []
-            for f in node.factors:
-                f = self._substitute(f)
-                if f is None:
-                    return None
-                factors.append(f)
-            return Product(tuple(factors))
-        if isinstance(node, Sum):
-            terms = [t for t in (self._substitute(t) for t in node.terms) if t is not None]
-            if not terms:
-                return None
-            return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-        raise TypeError("not an expression node: %r" % (node,))
+        return None if node is None else _substituted(node, self.image)
 
     def apply(self, value):
         """Image of a polynomial, expression, or source-context text."""
@@ -144,6 +120,31 @@ class SubstitutionMap:
             parts.append("%s -> %s" % (g, "0" if node is None else format_expression(node)))
         label = self.name or "map"
         return "<%s: %s>" % (label, "; ".join(parts))
+
+
+def _substituted(node, image):
+    """``node`` with each generator replaced by ``image(name)``; None is zero and propagates."""
+    return fold(
+        node,
+        image,
+        lambda s, arg: None if arg is None else QOp(s, arg),
+        _substituted_power,
+        lambda factors: None if any(f is None for f in factors) else Product(tuple(factors)),
+        lambda terms: _sum_of([t for t in terms if t is not None]),
+    )
+
+
+def _substituted_power(base, exp):
+    if exp == 0:
+        raise ValueError("zeroth powers are not substitutable")
+    return None if base is None else Power(base, exp)
+
+
+def _sum_of(terms):
+    """The sum of a list of terms: None if empty, the term itself if one."""
+    if not terms:
+        return None
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
 def compose_maps(f, g):
@@ -181,89 +182,57 @@ def _suspend_context(context):
 
 def _flatten_terms(node):
     """Expand into product terms, distributing sums (operations are additive)."""
-    return guarded("expand", _flatten, node)
+    terms = fold(
+        node,
+        lambda name: [[GenRef(name)]],
+        lambda s, terms: [[QOp(s, _joined(Product, t))] for t in terms],
+        _expanded_power,
+        _distributed,
+        _chained,
+    )
+    return [_joined(Product, t) for t in terms]
 
 
-def _flatten(node):
-    if isinstance(node, GenRef):
-        return [node]
-    if isinstance(node, QOp):
-        terms = _flatten(node.arg)
-        if len(terms) == 1:
-            return [QOp(node.s, terms[0])]
-        return [QOp(node.s, t) for t in terms]
-    if isinstance(node, Sum):
-        out = []
-        for t in node.terms:
-            out.extend(_flatten(t))
-        return out
-    if isinstance(node, Product):
-        out = [None]
-        for f in node.factors:
-            parts = _flatten(f)
-            new = []
-            for acc in out:
-                for p in parts:
-                    new.append(p if acc is None else Product(
-                        (acc.factors if isinstance(acc, Product) else (acc,))
-                        + (p.factors if isinstance(p, Product) else (p,))
-                    ))
-            out = new
-        return out
-    if isinstance(node, Power):
-        if node.exp == 0:
-            raise ValueError("zeroth powers are not suspendable")
-        terms = _flatten(node.base)
-        if len(terms) == 1:
-            return [Power(terms[0], node.exp)]
-        expanded = terms
-        for _ in range(node.exp - 1):
-            expanded = [
-                Product(
-                    (a.factors if isinstance(a, Product) else (a,))
-                    + (b.factors if isinstance(b, Product) else (b,))
-                )
-                for a in expanded
-                for b in terms
-            ]
-        return expanded
-    raise TypeError("not an expression node: %r" % (node,))
+# While flattening, a term is the list of its factors.  Each list a fold
+# handler returns belongs to that node's value only, so a parent may grow its
+# first child's list in place; then a chain nested on the left flattens in
+# linear time.
 
 
-def _module_refs(node, context):
+def _chained(lists):
+    return reduce(operator.iadd, lists[1:], lists[0]) if lists else []
+
+
+def _distributed(factors):
+    """Each product of one term from every factor's list of terms."""
+    if all(len(terms) == 1 for terms in factors):
+        return [_chained([terms[0] for terms in factors])]
+    return [[f for t in choice for f in t] for choice in itertools.product(*factors)]
+
+
+def _expanded_power(terms, exp):
+    if exp == 0:
+        raise ValueError("zeroth powers are not suspendable")
+    if len(terms) == 1:
+        return [[Power(_joined(Product, terms[0]), exp)]]
+    return _distributed([terms] * exp)
+
+
+def _module_refs(term, context):
     """The module generators of a flattened term, one entry per factor."""
-    if isinstance(node, GenRef):
-        return [] if context.is_base(node.name) else [node.name]
-    if isinstance(node, QOp):
-        return _module_refs(node.arg, context)
-    if isinstance(node, Power):
-        return node.exp * _module_refs(node.base, context)
-    if isinstance(node, Product):
-        return [ref for f in node.factors for ref in _module_refs(f, context)]
-    raise TypeError("unexpected node in a flattened term: %r" % (node,))
-
-
-def _rename_refs(node, rename):
-    if isinstance(node, GenRef):
-        return GenRef(rename.get(node.name, node.name))
-    if isinstance(node, QOp):
-        return QOp(node.s, _rename_refs(node.arg, rename))
-    if isinstance(node, Power):
-        return Power(_rename_refs(node.base, rename), node.exp)
-    if isinstance(node, Product):
-        return Product(tuple(_rename_refs(f, rename) for f in node.factors))
-    raise TypeError("unexpected node in a flattened term: %r" % (node,))
+    return fold(
+        term,
+        lambda name: [] if context.is_base(name) else [name],
+        lambda s, refs: refs,
+        operator.mul,
+        _chained,
+        _chained,
+    )
 
 
 def _suspend_expression(node, rename, context):
-    terms = []
-    for term in _flatten_terms(node):
-        if len(_module_refs(term, context)) != 1:
-            continue
-        terms.append(_rename_refs(term, rename))
-    if not terms:
-        return None
-    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+    terms = [t for t in _flatten_terms(node) if len(_module_refs(t, context)) == 1]
+    return _sum_of([_substituted(t, lambda g: GenRef(rename.get(g, g))) for t in terms])
 
 
 def suspend(m):

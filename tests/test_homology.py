@@ -647,8 +647,12 @@ def test_packed_recursion_matches_the_tuple_recursion(cls, oracle):
     model, tuples = cls(40), oracle(40)
     pairs = [(s, u) for u in model.monomials_up_to(14) for s in range(25)]
     assert packed_mismatches(model, tuples, pairs) == []
-    # both routes visit the same (s, monomial) pairs
-    assert len(model._mono_cache) == len(tuples._tuple_cache)
+    # The sweep holds every (s, u) below its bounds, and the recursion never
+    # leaves it, so each cache holds exactly the requested pairs; a route
+    # that skipped its cache or wandered outside the sweep would fail here.
+    requested = {(s, mono) for s, u in pairs for mono in u.terms}
+    assert set(model._mono_cache) == requested
+    assert {(s, model.ring.pack(mono)) for s, mono in tuples._tuple_cache} == requested
 
 
 @pytest.mark.parametrize("cls, oracle", ORACLES, ids=["h-mu", "dual-steenrod"])

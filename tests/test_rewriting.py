@@ -1,5 +1,6 @@
 """Rewriting to the admissible basis: oracles, goldens, and a confluence corpus."""
 
+import functools
 import math
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from dlforge import rewriting
 from dlforge.expressions import (
+    GeneratorContext,
     GenRef,
     Power,
     Product,
@@ -23,6 +25,7 @@ from dlforge.expressions import (
     parse_context,
     parse_expression,
 )
+from dlforge.homology import MUHomology, evaluate_in_model
 from dlforge.relations import (
     AUXILIARY_IDENTITIES,
     BETA_ALPHA_SYMBOLIC,
@@ -439,40 +442,130 @@ def test_printing_builds_no_expression_nodes(monkeypatch):
 # -- robustness ---------------------------------------------------------------
 
 
+DEEP = 20_000  # nesting depth of the code-built chains; the parser stops at 100
+
+DEEP_CHAINS = {  # each wraps the tree so far as the first child, DEEP times
+    "sum": lambda node: Sum((node, GenRef("x"))),
+    "product": lambda node: Product((node, GenRef("x"))),
+    "q": lambda node: QOp(4, node),
+    "power": lambda node: Power(node, 1),
+}
+DEEP_DEGREES = {"sum": 2, "product": 2 * DEEP + 2, "q": 4 * DEEP + 2, "power": 2}
+DEEP_TEXTS = {
+    "sum": "(" * (DEEP - 1) + "x + x" + ") + x" * (DEEP - 1),
+    "product": "(" * (DEEP - 1) + "x x" + ") x" * (DEEP - 1),
+    "q": "Q4 " * DEEP + "x",
+    "power": "(" * (DEEP - 1) + "x^1" + ")^1" * (DEEP - 1),
+}
+# Q4 x is a basis word of degree 6, and Q4 of a class of degree 6 vanishes
+DEEP_NORMAL_FORMS = {"sum": "x", "product": "x^%d" % (DEEP + 1), "q": "0", "power": "x"}
+
+
+def build_deep_chain(kind, leaf=GenRef("x")):
+    node = leaf
+    for _ in range(DEEP):
+        node = DEEP_CHAINS[kind](node)
+    return node
+
+
+@pytest.fixture(scope="module")
+def deep_chain():
+    """``build_deep_chain``, memoized for this module's tests only, so that
+    later tests do not carry the chains through every collection."""
+    return functools.lru_cache(maxsize=None)(build_deep_chain)
+
+
+def deep_map(node, kind):
+    """The map sending one generator g, of the chain's degree, to ``node``
+    over a module generator x (x_context makes x a scalar)."""
+    source = GeneratorContext([("g", DEEP_DEGREES[kind])])
+    return SubstitutionMap(source, GeneratorContext([("x", 2)]), {"g": node})
+
+
+def composed(m):
+    """The image of g under the identity of m's target after m."""
+    return compose_maps(SubstitutionMap(m.target, m.target, {"x": "x"}), m).image_polynomial("g")
+
+
 def test_deeply_nested_code_built_trees_raise_a_one_line_value_error():
+    # The name is kept so that test ids stay stable: every walk is one
+    # iterative fold, so a deep tree built in code gets its value.
     node = GenRef("x")
     for _ in range(3000):
         node = Sum((node, GenRef("x")))
-    for route in (format_expression, lambda n: normalize(n, x_context())):
-        with pytest.raises(ValueError) as caught:
-            route(node)
-        assert "nested too deeply" in str(caught.value)
-        assert "\n" not in str(caught.value)
+    assert format_expression(node) == "(" * 2999 + "x + x" + ") + x" * 2999
+    assert str(normalize(node, x_context())) == "x"  # 3,001 copies of x
 
 
+MU_40 = MUHomology(40)
+
+# route -> (the route on a deep chain of one kind, its value for each kind)
 DEEP_TREE_ROUTES = {
-    "min_en_level": lambda node: min_en_level(node, x_context()),
-    "en_level_witness": lambda node: en_level_witness(node, x_context()),
-    "verify_identity-left": lambda node: verify_identity(node, None, x_context()),
-    "verify_identity-right": lambda node: verify_identity("Q5 Q3 x", node, x_context()),
-    "_flatten_terms": _flatten_terms,
-    "expression_degrees": lambda node: expression_degrees(node, x_context()),
-    "homogeneous_degree": lambda node: homogeneous_degree(node, x_context()),
-    "SubstitutionMap._subst": lambda node: (
-        SubstitutionMap(x_context(), x_context(), {"x": "x"})._subst(node)
+    "format_expression": (lambda node, kind: format_expression(node), DEEP_TEXTS),
+    "normalize": (lambda node, kind: str(normalize(node, x_context())), DEEP_NORMAL_FORMS),
+    "min_en_level": (
+        lambda node, kind: min_en_level(node, x_context()),
+        {"sum": 1, "product": 1, "q": 4, "power": 1},
     ),
+    "en_level_witness": (  # Q4 on x, the innermost operation
+        lambda node, kind: en_level_witness(node, x_context()),
+        {"sum": None, "product": None, "q": (4, 2), "power": None},
+    ),
+    "verify_identity-left": (
+        lambda node, kind: verify_identity(node, DEEP_NORMAL_FORMS[kind], x_context())[0],
+        dict.fromkeys(DEEP_CHAINS, True),
+    ),
+    "verify_identity-right": (
+        lambda node, kind: verify_identity(DEEP_NORMAL_FORMS[kind], node, x_context())[0],
+        dict.fromkeys(DEEP_CHAINS, True),
+    ),
+    "_flatten_terms": (
+        lambda node, kind: [format_expression(t) for t in _flatten_terms(node)],
+        {
+            "sum": ["x"] * (DEEP + 1),
+            "product": [" ".join(["x"] * (DEEP + 1))],
+            "q": [DEEP_TEXTS["q"]],
+            "power": [DEEP_TEXTS["power"]],
+        },
+    ),
+    "expression_degrees": (
+        lambda node, kind: expression_degrees(node, x_context()),
+        {kind: {degree} for kind, degree in DEEP_DEGREES.items()},
+    ),
+    "homogeneous_degree": (lambda node, kind: homogeneous_degree(node, x_context()), DEEP_DEGREES),
+    "SubstitutionMap._subst": (
+        lambda node, kind: format_expression(
+            SubstitutionMap(x_context(), x_context(), {"x": "x"})._subst(node)
+        ),
+        DEEP_TEXTS,
+    ),
+    "evaluate_in_model": (  # x -> b1 in H_*MU; Q4 b1 has degree 6
+        lambda node, kind: str(evaluate_in_model(node, {"x": MU_40.b(1)}, MU_40)),
+        {"sum": "b1", "product": "b1^%d" % (DEEP + 1), "q": "0", "power": "b1"},
+    ),
+    "suspend": (  # the product of module factors dies; Q4 x' is of degree 7
+        lambda node, kind: str(suspend(deep_map(node, kind)).image_polynomial("g'")),
+        {"sum": "x'", "product": "0", "q": "0", "power": "x'"},
+    ),
+    "compose_maps": (lambda node, kind: str(composed(deep_map(node, kind))), DEEP_NORMAL_FORMS),
 }
 
 
 @pytest.mark.parametrize("route", sorted(DEEP_TREE_ROUTES))
-def test_deep_trees_give_a_value_error_on_every_entry_point(route):
-    node = GenRef("x")
-    for _ in range(3000):
-        node = Sum((node, GenRef("x")))
-    with pytest.raises(ValueError) as caught:
-        DEEP_TREE_ROUTES[route](node)
-    assert "nested too deeply" in str(caught.value)
-    assert "\n" not in str(caught.value)
+def test_deep_trees_give_a_value_error_on_every_entry_point(route, deep_chain):
+    # The name is kept so that test ids stay stable: every route gives its
+    # value on each chain.
+    walk, values = DEEP_TREE_ROUTES[route]
+    for kind in DEEP_CHAINS:
+        assert walk(deep_chain(kind), kind) == values[kind], kind
+
+
+@pytest.mark.parametrize("route", sorted(DEEP_TREE_ROUTES))
+def test_a_non_node_deep_in_a_tree_raises_a_type_error_on_every_route(route, deep_chain):
+    walk, _ = DEEP_TREE_ROUTES[route]
+    for kind in DEEP_CHAINS:
+        with pytest.raises(TypeError, match="not an expression node: 'x'"):
+            walk(deep_chain(kind, "x"), kind)
 
 
 def test_en_level_routes_keep_the_first_maximal_pair():
