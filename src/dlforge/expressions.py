@@ -157,6 +157,9 @@ def _check_gen_name(name):
 
 # -- AST ------------------------------------------------------------------
 
+# Each node class takes only the shapes the grammar can write: a power's
+# exponent is at least 1, and a product or sum has at least one child.
+
 
 class GenRef(Value):
     __slots__ = ("name",)
@@ -177,6 +180,8 @@ class Product(Value):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
+        if not factors:
+            raise ValueError("a product needs at least one factor")
         _set(self, "factors", factors)
 
 
@@ -184,6 +189,8 @@ class Power(Value):
     __slots__ = ("base", "exp")
 
     def __init__(self, base, exp):
+        if exp < 1:
+            raise ValueError("powers must be positive")
         _set(self, "base", base)
         _set(self, "exp", exp)
 
@@ -192,6 +199,8 @@ class Sum(Value):
     __slots__ = ("terms",)
 
     def __init__(self, terms):
+        if not terms:
+            raise ValueError("a sum needs at least one term")
         _set(self, "terms", terms)
 
 
@@ -350,10 +359,10 @@ def fold(node, gen, q, power, product, total):
     """Fold an expression tree bottom-up: the value of each node from its children's.
 
     ``gen(name)`` values a generator, ``q(s, arg)`` an operation, ``power(base,
-    exp)`` a power, and ``product(factors)`` and ``total(terms)`` take the list
-    of their children's values.  Children are folded left to right.  The stack
-    is explicit, so the tree's depth is bounded by memory, not by the
-    interpreter's recursion limit.  This is the only place that dispatches on
+    exp)`` a power, and ``product(factors)`` and ``total(terms)`` take the
+    nonempty list of their children's values.  Children are folded left to
+    right.  The stack is explicit, so the tree's depth is bounded by memory,
+    not by the interpreter's recursion limit.  This is the only place that dispatches on
     node class; anything else in the tree raises TypeError.
     """
     # The nodes above ``node``, innermost last: an operation or power as
@@ -373,14 +382,10 @@ def fold(node, gen, q, power, product, total):
             node = node.base
             continue
         elif cls is Product or cls is Sum:
-            handler = product if cls is Product else total
             children = iter(node.factors if cls is Product else node.terms)
-            first = next(children, _DONE)
-            if first is not _DONE:
-                push((handler, children, []))
-                node = first
-                continue
-            value = handler([])
+            push((product if cls is Product else total, children, []))
+            node = next(children)
+            continue
         else:
             raise TypeError("not an expression node: %r" % (node,))
         while waiting:  # climb while the node above has all its children's values

@@ -207,8 +207,12 @@ def reduce_mod_two_series(series, p):
 
     Each scalar 2q + r on a positive power of alpha is replaced by r,
     trading the even part for (2 - <2>) times the same monomial; constant
-    terms in alpha are untouched.  Terminates because the traded terms
-    climb in degree until truncation or nilpotence kills them.
+    terms in alpha are untouched.  A pass trades every such term at once.
+    Terminates because the traded terms climb in degree until truncation or
+    nilpotence kills them.  The result does not depend on the order of the
+    trades: two reductions of one series differ by <2> m, whose lowest
+    alpha term is twice that of m, while reduced coefficients differ by
+    -1, 0 or 1; so m is zero.
     """
     sig = series.sig
     i = sig.index("alpha")
@@ -219,28 +223,16 @@ def reduce_mod_two_series(series, p):
     work = series
     multiplier = TruncatedSeries.zero(sig, ring)
     for _ in range(REDUCTION_PASS_BUDGET):
-        excess_vec = None
-        terms = work.terms
-        for vec in sorted(terms):
-            if vec[i] == 0:
-                continue
-            poly = terms[vec]
-            for mono in sorted(poly.terms, key=ring.unpack):
-                c = poly.terms[mono]
+        excess = {}
+        for m, c in work.poly.terms.items():
+            if work._exponent(m, i):
                 if c.denominator != 1:
-                    raise ArithmeticError(
-                        "cannot reduce a non-integral coefficient: %s" % c
-                    )
-                q = c // 2
-                if q != 0:
-                    excess_vec = (vec, mono, q)
-                    break
-            if excess_vec:
-                break
-        if excess_vec is None:
+                    raise ArithmeticError("cannot reduce a non-integral coefficient: %s" % c)
+                if c // 2:
+                    excess[m] = c // 2
+        if not excess:
             return ReductionResult(work, multiplier, bracket2)
-        vec, mono, q = excess_vec
-        excess = TruncatedSeries.from_terms(sig, ring, {vec: ring.make({mono: q})})
+        excess = TruncatedSeries(work.sig, ring, work.poly.ring.make(excess))
         work = work - excess * bracket2
         multiplier = multiplier + excess
     raise ArithmeticError("mod-2 series reduction did not terminate")

@@ -463,7 +463,7 @@ def evaluate_in_model(expr, assignment, model, context=None):
         assigned,
         model.q,
         operator.pow,
-        lambda factors: reduce(operator.mul, factors) if factors else model.ring.one(),
+        lambda factors: reduce(operator.mul, factors),
         model.ring.sum,
     )
 

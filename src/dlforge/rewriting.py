@@ -254,7 +254,7 @@ class _Engine(CartanExtension):
         return out
 
     def product(self, factors):
-        return reduce(self.mul, factors, _ONE)
+        return reduce(self.mul, factors)
 
     @staticmethod
     def total(terms):

@@ -128,16 +128,10 @@ def _substituted(node, image):
         node,
         image,
         lambda s, arg: None if arg is None else QOp(s, arg),
-        _substituted_power,
+        lambda base, exp: None if base is None else Power(base, exp),
         lambda factors: None if any(f is None for f in factors) else Product(tuple(factors)),
         lambda terms: _sum_of([t for t in terms if t is not None]),
     )
-
-
-def _substituted_power(base, exp):
-    if exp == 0:
-        raise ValueError("zeroth powers are not substitutable")
-    return None if base is None else Power(base, exp)
 
 
 def _sum_of(terms):
@@ -200,7 +194,7 @@ def _flatten_terms(node):
 
 
 def _chained(lists):
-    return reduce(operator.iadd, lists[1:], lists[0]) if lists else []
+    return reduce(operator.iadd, lists[1:], lists[0])
 
 
 def _distributed(factors):
@@ -211,8 +205,6 @@ def _distributed(factors):
 
 
 def _expanded_power(terms, exp):
-    if exp == 0:
-        raise ValueError("zeroth powers are not suspendable")
     if len(terms) == 1:
         return [[Power(_joined(Product, terms[0]), exp)]]
     return _distributed([terms] * exp)

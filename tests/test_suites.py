@@ -144,6 +144,40 @@ def test_a_scaled_raw_value_fails_both_raw_rows(monkeypatch):
     assert "1375 v3" in rows["hopf-chain/03-raw-surfaced"]["witness"]
 
 
+# each value a row compares against -> a wrong value, and the rows that state it
+WRONG_VALUES = {
+    "EN_LEVEL": (11, ["en-level/01-displayed-level", "en-level/03-substituted-level"]),
+    "EN_WITNESS": ((20, 12), ["en-level/02-witness"]),
+    "SPOT_VALUE": ("xi2^2", ["model-compat/02-spot-value"]),
+    "SUSPENDED_QBAR_IMAGE": ("Q10 y'5", ["firstjuggle-algebra/03-suspended-qbar"]),
+    "EMPTY_DEGREES": ((5, 7, 11, 13, 14), ["indeterminacy/01-low-degrees", "xi5-chain/04-indeterminacy"]),
+    "LINE_DEGREE": (30, ["indeterminacy/02-degree-31", "xi5-chain/04-indeterminacy"]),
+    "BRACKET2": ("2 - 126 v3 alpha^7", ["appendix/01-bracket2"]),
+    "G_CUBIC": ("-14 v3 alpha^5", ["appendix/02-g-cubic"]),
+    "KINV_Y2": ("-1 + 3 v3 alpha^7", ["appendix/03-kinv"]),
+    "KINV_Y3": ("2 - 2 v3 alpha^6", ["appendix/03-kinv"]),
+    "F2": ("6 - 6 v3 alpha^8", ["appendix/04-f2"]),
+    "H2": ("2", ["appendix/05-h2"]),
+    "RAW_VALUE": ("376 v3 alpha^3", ["appendix/06-raw", "hopf-chain/03-raw-surfaced"]),
+    "REDUCED_VALUE": ("v3 alpha^2", ["appendix/07-reduced"]),
+    "ADDITIVE_H1": ("1", ["appendix/09-additive-oracle"]),
+    "ADDITIVE_VALUE": ("1", ["appendix/09-additive-oracle"]),
+    "ENDPOINT": ("sigma x5", ["hopf-chain/01-chain-k5", "xi5-chain/05-hopf-endpoint"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_VALUES))
+def test_a_wrong_value_fails_exactly_the_rows_that_compare_against_it(monkeypatch, name):
+    wrong, rows = WRONG_VALUES[name]
+    monkeypatch.setattr(suites, name, wrong)
+    assert _failed_rows() == rows
+    # each of those rows states the wrong text, except kinv's y^2 coefficient,
+    # which its statement writes in another order
+    if isinstance(wrong, str) and name != "KINV_Y2":
+        statements = {check["id"]: check["statement"] for check in build_suite("all")}
+        assert all(wrong in statements[row] for row in rows)
+
+
 def test_an_exhausted_reduction_budget_errors_exactly_the_pipeline_rows(monkeypatch):
     # the pipeline memo is cleared so that no earlier result hides the budget
     monkeypatch.setattr(formal_groups, "REDUCTION_PASS_BUDGET", 0)
@@ -236,11 +270,14 @@ def test_a_cold_run_builds_each_series_and_priddy_numerator_once():
     # 4 isogenies, as the four alpha-order-24 pipelines share one; 3 builds
     # of a 2-series (preset, order): the run asks for 7, appendix-z-v3 at
     # 21, 15, 25, 19 and 17 and additive at 19 and 15, and each lower order
-    # truncates the highest built so far; and 904 packed monomials, as each
+    # truncates the highest built so far; and 881 packed monomials, as each
     # Priddy numerator is packed once, not each time an action reads it
-    # (2,269 then), and a truncation packs nothing (957 with 7 builds)
+    # (2,269 then), a truncation packs nothing (957 with 7 builds), rows
+    # compare texts rather than build their expected series, and a mod-2
+    # reduction trades all its excess terms in one product per pass (904
+    # with both undone)
     proc = subprocess.run([sys.executable, "-c", COLD_RUN_COUNTS], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        "pass", 4, [["appendix-z-v3", 21], ["additive", 19], ["appendix-z-v3", 25]], 904,
+        "pass", 4, [["appendix-z-v3", 21], ["additive", 19], ["appendix-z-v3", 25]], 881,
     ]

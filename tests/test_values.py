@@ -117,3 +117,20 @@ def test_series_signature_rejects_a_bad_layout(args, message):
 def test_a_generator_needs_a_name():
     with pytest.raises(ValueError, match="generator needs a name"):
         Generator("", 2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Power(X, 0), "powers must be positive"),
+        (lambda: Power(X, -1), "powers must be positive"),
+        (lambda: Product(()), "a product needs at least one factor"),
+        (lambda: Sum(()), "a sum needs at least one term"),
+    ],
+    ids=["power-0", "power-minus-1", "empty-product", "empty-sum"],
+)
+def test_a_node_rejects_a_shape_the_grammar_cannot_write(build, message):
+    # no walk has a value for these: x^-1 has no normal form, and x^0 or an
+    # empty product would be a unit that the free algebra prints as "0"
+    with pytest.raises(ValueError, match=message):
+        build()
