@@ -206,6 +206,8 @@ class Sum(Value):
 
 def _joined(cls, nodes):
     """One ``Product`` or ``Sum`` of ``nodes``; a node of class ``cls`` adds its own children."""
+    if len(nodes) == 1 and not isinstance(nodes[0], cls):
+        return nodes[0]
     flat = [child for node in nodes for child in (node._key()[0] if isinstance(node, cls) else (node,))]
     return flat[0] if len(flat) == 1 else cls(tuple(flat))
 
@@ -263,33 +265,32 @@ class _Parser:
         self.context = context
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
+    def take(self, kind):
         tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
+        if tok[0] != kind:
             raise ExpressionSyntaxError("expected %s, found %r" % (kind, tok[1]), tok[2])
         self.pos += 1
         return tok
 
     def parse_expr(self):
         terms = [self.parse_term()]
-        while self.peek()[0] == "+":
-            self.take("+")
+        tokens = self.tokens
+        while tokens[self.pos][0] == "+":
+            self.pos += 1
             terms.append(self.parse_term())
         return _joined(Sum, terms)
 
     def parse_term(self):
         factors = [self.parse_factor()]
-        while self.peek()[0] in ("NAME", "Q", "("):
+        tokens = self.tokens
+        while tokens[self.pos][0] in ("NAME", "Q", "("):
             factors.append(self.parse_factor())
         return _joined(Product, factors)
 
     def parse_factor(self):
         node = self.parse_primary()
-        if self.peek()[0] == "^":
-            self.take("^")
+        if self.tokens[self.pos][0] == "^":
+            self.pos += 1
             tok = self.take("INT")
             if tok[1] < 1:
                 raise ExpressionSyntaxError("powers must be positive", tok[2])
@@ -297,15 +298,14 @@ class _Parser:
         return node
 
     def parse_primary(self):
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.pos]
+        self.pos += 1
         if kind == "NAME":
-            self.take()
             if self.context is not None and value not in self.context.degrees:
                 raise UnknownGeneratorError(value)
             return GenRef(value)
         if kind not in ("Q", "("):
             raise ExpressionSyntaxError("expected a generator, Q-operation or '('", pos)
-        self.take()
         self.depth += 1
         if self.depth > self.MAX_NESTING:
             raise ExpressionSyntaxError(

@@ -481,7 +481,8 @@ def indeterminacy_scan(suspended_map, model, base_assignment):
     image (one module generator each, by construction) and each monomial
     basis element of the model in that generator's degree, evaluates the
     term and records whether the value is decomposable.  Returns a dict
-    with per-term rows and the overall verdict.
+    with per-term rows and the overall verdict; a row also lists the
+    degrees in which its nonzero values live.
     """
     from .substitutions import _flatten_terms, _module_refs
     from .expressions import format_expression
@@ -504,10 +505,12 @@ def indeterminacy_scan(suspended_map, model, base_assignment):
             degree = targets.degree(slot)
             basis = model.monomials_of_degree(degree)
             bad = []
+            value_degrees = set()
             for element in basis:
                 value = evaluate_in_model(
                     term, dict(base_assignment, **{slot: element}), model
                 )
+                value_degrees.update(value.degrees_present())
                 if not model.is_decomposable(value):
                     bad.append((element, value))
             ok = not bad
@@ -517,6 +520,7 @@ def indeterminacy_scan(suspended_map, model, base_assignment):
                     "term": format_expression(term),
                     "source_degree": degree,
                     "basis_size": len(basis),
+                    "value_degrees": sorted(value_degrees),
                     "decomposable": ok,
                     "witness": "" if ok else "%s -> %s" % bad[0],
                 }

@@ -12,6 +12,12 @@ strictness everywhere).  Everything else is rewritten:
   * Cartan            Q^s (a b)    ->  sum Q^p a Q^q b over p + q = s
   * Adem, for r > 2s  Q^r Q^s      ->  sum binom(i-s-1, 2i-r) Q^{r+s-i} Q^i
 
+One enumerator, ``_adem_terms``, lists the Adem terms.  ``adem_step`` asks
+it for the whole window ceil(r/2) <= i <= r - s - 1; every rewrite route
+asks for the stability window instead, the i for which instability keeps
+Q^{r+s-i} Q^i on the class below (i at least its degree, r + s - i at least
+its degree plus i), so a term that instability kills is never built.
+
 Polynomials are frozensets of monomials (coefficients are bits); a monomial
 is a sorted tuple of (word, exponent) pairs and a word is (superscripts,
 generator name).
@@ -29,7 +35,6 @@ from .expressions import (
     Product,
     QOp,
     Sum,
-    binomial_mod2,
     fold,
     homogeneous_degree,
     parse_expression,
@@ -60,17 +65,24 @@ def adem_step(r, s):
     """
     if r <= 2 * s:
         raise ValueError("Q%d Q%d is already admissible" % (r, s))
-    out = []
-    for i in range((r + 1) // 2, r - s):
-        if binomial_mod2(i - s - 1, 2 * i - r):
-            out.append(((r + s - i, i), 1))
-    return out
+    return [(pair, 1) for pair in _adem_terms(r, s)]
 
 
-def _stable_adem_terms(r, s, below):
-    """The terms (top, inner) of ``adem_step(r, s)`` that instability does not
-    kill on a class of degree ``below``: inner >= below, top >= below + inner."""
-    return [(t, i) for (t, i), _bit in adem_step(r, s) if i >= below and t >= below + i]
+def _adem_terms(r, s, below=None):
+    """The terms (top, inner) = (r + s - i, i) of Q^r Q^s, r > 2s, whose
+    coefficient binom(i-s-1, 2i-r) is odd, with i in the window
+    ceil(r/2) <= i <= r - s - 1.
+
+    Given ``below``, the degree of the class that Q^s is applied to, only
+    the terms that instability keeps are enumerated: inner >= below and
+    top >= below + inner, that is i up to floor((r + s - below)/2).  Inside
+    the window both binomial arguments are in range, so Lucas' theorem reads
+    the coefficient as a bitmask test.
+    """
+    low, high = (r + 1) // 2, r - s - 1
+    if below is not None:
+        low, high = max(low, below), min(high, (r + s - below) // 2)
+    return [(r + s - i, i) for i in range(low, high + 1) if (i - s - 1) & (2 * i - r) == 2 * i - r]
 
 
 _ZERO = frozenset()
@@ -211,6 +223,12 @@ class _Engine(CartanExtension):
             out ^= self.apply_mono(s, m)
         return frozenset(out)
 
+    def apply_word(self, superscripts, p):
+        """Q^{s_1} .. Q^{s_k} p, the innermost operation first."""
+        for s in reversed(superscripts):
+            p = self.apply_poly(s, p)
+        return p
+
     def generator_action(self, s, word):
         cache = self.ctx._word_cache
         key = (s, word)
@@ -231,7 +249,7 @@ class _Engine(CartanExtension):
                     raise RewriteBudgetExceeded("rewrite budget exhausted")
                 rest = (ops[1:], g)
                 acc = set()
-                for top, inner in _stable_adem_terms(s, ops[0], d - ops[0]):
+                for top, inner in _adem_terms(s, ops[0], d - ops[0]):
                     acc ^= self.apply_poly(top, self.generator_action(inner, rest))
                 result = frozenset(acc)
         cache[key] = result
@@ -307,21 +325,22 @@ class DLPolynomial:
 
     # -- canonical form ------------------------------------------------------
 
-    @staticmethod
-    def _factor_key(factor):
-        (ops, g), e = factor
-        return (sum(ops), ops, g, e)
-
-    def _mono_key(self, mono):
-        degree = self.context.degree
-        return (
-            sum((degree(g) + sum(ops)) * e for (ops, g), e in mono),
-            tuple(sorted(map(self._factor_key, mono))),
-        )
-
     def sorted_monomials(self):
-        """The monomials in canonical order, each as its (word, exponent) factors in canonical order."""
-        return [sorted(m, key=self._factor_key) for m in sorted(self.monomials, key=self._mono_key)]
+        """The monomials in canonical order, each as its (word, exponent)
+        factors in canonical order.
+
+        A factor's key is (operation degree, superscripts, generator,
+        exponent) and a monomial's is (total degree, its factors' keys in
+        order); each monomial's factor keys are sorted once, and the key
+        determines the factor, so the factors are read back from it.
+        """
+        degree = self.context.degree
+        keyed = []
+        for mono in self.monomials:
+            keys = sorted([(sum(ops), ops, g, e) for (ops, g), e in mono])
+            keyed.append((sum([(degree(g) + weight) * e for weight, _, g, e in keys]), keys))
+        keyed.sort()
+        return [[((ops, g), e) for _, ops, g, e in keys] for _, keys in keyed]
 
     def to_expression(self):
         """Rebuild a canonical AST (None stands for the zero polynomial)."""
@@ -370,25 +389,27 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
     and then evaluates each admissible sequence on the generator;
     ``rightmost`` does the same but always picks the rightmost pair.  Both
     drop a sequence as soon as it applies some Q^s to an argument of degree
-    above s (instability): the input when it already does, and each Adem
-    term whose two new entries do.  Adem keeps the sum of the pair, so no
-    other entry's argument degree changes.  Only an admissible sequence with
-    an entry equal to the degree below it (a square) goes through the engine;
-    the others are basis words.  Confluence means all three answers agree.
+    above s (instability): the input when it already does, found in one pass
+    from the inner end, and each Adem term whose two new entries would,
+    which the Adem enumerator leaves out by enumerating only the stability
+    window of the pair.  Adem keeps the sum of the pair, so no other entry's
+    argument degree changes.  Only an admissible sequence with an entry
+    equal to the degree below it (a square) goes through the engine; the
+    others are basis words.  Confluence means all three answers agree.
     """
     superscripts = tuple(superscripts)
     degree = context.degree(generator)  # raises on unknown names
     eng = _Engine(context)
-    base = eng.word(generator)
-
-    def on_generator(seq):
-        return reduce(lambda poly, s: eng.apply_poly(s, poly), reversed(seq), base)
+    base = frozenset({((((), generator), 1),)})
     if strategy == "bottom-up":
-        return DLPolynomial(context, on_generator(superscripts))
+        return DLPolynomial(context, eng.apply_word(superscripts, base))
     if strategy not in ("top-down", "rightmost"):
         raise ValueError("unknown strategy %r" % strategy)
-    if any(s < degree + sum(superscripts[i + 1 :]) for i, s in enumerate(superscripts)):
-        return DLPolynomial(context, _ZERO)
+    below = degree
+    for s in reversed(superscripts):
+        if s < below:
+            return DLPolynomial(context, _ZERO)
+        below += s
     spots = range(len(superscripts) - 1)[:: 1 if strategy == "top-down" else -1]
     pending = {superscripts}
     admissible = set()
@@ -405,14 +426,14 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
         if steps > STEP_BUDGET:
             raise RewriteBudgetExceeded("rewrite budget exhausted")
         below = degree + sum(seq[spot + 2 :])
-        for top, inner in _stable_adem_terms(seq[spot], seq[spot + 1], below):
+        for top, inner in _adem_terms(seq[spot], seq[spot + 1], below):
             pending ^= {seq[:spot] + (top, inner) + seq[spot + 2 :]}
     out = set()
     for seq in admissible:
         below = degree
         for s in reversed(seq):
             if s == below:
-                out ^= on_generator(seq)
+                out ^= eng.apply_word(seq, base)
                 break
             below += s
         else:

@@ -131,6 +131,13 @@ ADDITIVE_H1 = "-1"
 ADDITIVE_VALUE = "0"
 ENDPOINT = "sigma x7"
 
+# The bounds of the rows that sweep a range, each written once: the row
+# passes it to its call and prints it in its text.
+SWEEP_OPERATIONS, SWEEP_DEGREE = 24, 14  # Q^s for s <= 24 on monomials of degree <= 14
+SQUARES_UP_TO = 8  # Q^{2k} b_k for k <= 8
+CONJUGATE_DEGREE = 32  # the total series' product, through this degree
+ASSOCIATIVITY_DEGREE = 12  # the group law, through this total degree
+
 
 # -- the facts of one run -----------------------------------------------------
 
@@ -290,14 +297,14 @@ def _suite_steinberger(facts):
         claimed = A.ring.one() + A.xi(1)
         for i in range(1, A.top_index + 1):
             total = total + A.xi(i)
-        for s in range(1, 32):
+        for s in range(1, CONJUGATE_DEGREE):  # Q^s xi1 has degree s + 1
             claimed = claimed + A.q_xi1(s)
         product = total * claimed
         residual = product + A.ring.one()
-        bad = [d for d in residual.degrees_present() if d <= 32]
+        bad = [d for d in residual.degrees_present() if d <= CONJUGATE_DEGREE]
         if bad:
             return False, "nonzero in degrees %s" % bad
-        return True, "product is 1 through degree 32"
+        return True, "product is 1 through degree %d" % CONJUGATE_DEGREE
 
     def self_check():
         checked, failures = facts.A.self_check()
@@ -325,9 +332,10 @@ def _suite_steinberger(facts):
 
 def _suite_model_compat(facts):
     def sweep():
-        ok, failures = check_dl_compatibility(24, 14, facts.M, facts.A)
+        bounds = SWEEP_OPERATIONS, SWEEP_DEGREE
+        ok, failures = check_dl_compatibility(*bounds, facts.M, facts.A)
         if ok:
-            return True, "p Q^s = Q^s p for s <= 24 on all monomials of degree <= 14"
+            return True, "p Q^s = Q^s p for s <= %d on all monomials of degree <= %d" % bounds
         s, u, lhs, rhs = failures[0]
         return False, "s=%d u=%s: %s vs %s" % (s, u, lhs, rhs)
 
@@ -339,8 +347,8 @@ def _suite_model_compat(facts):
 
     def squares():
         M = facts.M
-        bad = [k for k in range(1, 9) if M.q(2 * k, M.b(k)) != M.b(k) ** 2]
-        return not bad, "failures at %s" % bad if bad else "Q^{2k} b_k = b_k^2 for k <= 8"
+        bad = [k for k in range(1, SQUARES_UP_TO + 1) if M.q(2 * k, M.b(k)) != M.b(k) ** 2]
+        return not bad, "failures at %s" % bad if bad else "Q^{2k} b_k = b_k^2 for k <= %d" % SQUARES_UP_TO
 
     def oddness():
         A, M = facts.A, facts.M
@@ -461,7 +469,11 @@ def _suite_indeterminacy(facts):
         return _eq(facts.indecomposables[LINE_DEGREE], 1)
 
     def relation_scan():
-        return _scan_check(facts.relation_scan)
+        scan = facts.relation_scan
+        off = sorted({d for r in scan["terms"] for d in r["value_degrees"]} - {LINE_DEGREE})
+        if off:
+            return False, "values in degrees %s" % off
+        return _scan_check(scan)
 
     def firstjuggle_scan():
         return facts.qbar_scan["all_decomposable"], facts.qbar_scan["closure_note"]
@@ -472,7 +484,7 @@ def _suite_indeterminacy(facts):
         _check(
             "03-relation-scan",
             "every term of the suspended relation lands in decomposables"
-            " (values in degree 31) for every basis class in its slot",
+            " (values in degree %d) for every basis class in its slot" % LINE_DEGREE,
             relation_scan,
         ),
         _check(
@@ -521,7 +533,10 @@ def _suite_appendix(facts):
         return ok, "correction series %s..." % str(h)[:60]
 
     def associativity():
-        return check_associativity(p, 12), "F(F(x,y),z) = F(x,F(y,z)) through total degree 12"
+        return (
+            check_associativity(p, ASSOCIATIVITY_DEGREE),
+            "F(F(x,y),z) = F(x,F(y,z)) through total degree %d" % ASSOCIATIVITY_DEGREE,
+        )
 
     return [
         stated("01-bracket2", "<2> = ", "bracket2", BRACKET2),
@@ -542,7 +557,11 @@ def _suite_appendix(facts):
             "the derivative form of the isogeny equation has an integral correction",
             isogeny,
         ),
-        _check("11-associativity", "the group law is associative through total degree 12", associativity),
+        _check(
+            "11-associativity",
+            "the group law is associative through total degree %d" % ASSOCIATIVITY_DEGREE,
+            associativity,
+        ),
     ]
 
 
@@ -626,10 +645,10 @@ def _suite_xi5_chain(facts):
         scan, scan5, dims = facts.relation_scan, facts.qbar_scan, facts.indecomposables
         dims_ok = not any(dims[d] for d in EMPTY_DEGREES) and dims[LINE_DEGREE] == 1
         ok = scan["all_decomposable"] and scan5["all_decomposable"] and dims_ok
+        slots, slots5 = (sorted({r["source_degree"] for r in one["terms"]}) for one in (scan, scan5))
         return ok, (
-            "slot degrees %s and 5 all land in decomposables; degree-%d"
-            " indecomposables are one-dimensional"
-            % (sorted({r["source_degree"] for r in scan["terms"]}), LINE_DEGREE)
+            "slot degrees %s and %s all land in decomposables; degree-%d"
+            " indecomposables are one-dimensional" % (slots, ", ".join(map(str, slots5)), LINE_DEGREE)
         )
 
     def step5():

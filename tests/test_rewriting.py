@@ -1,11 +1,11 @@
 """Rewriting to the admissible basis: oracles, goldens, and a confluence corpus."""
 
-import functools
+import gc
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlforge import rewriting
@@ -74,6 +74,16 @@ def test_adem_step_matches_binomial_oracle():
         for r in range(2 * s + 1, 2 * s + 24):
             got = {pair for pair, bit in adem_step(r, s) if bit}
             assert got == adem_oracle(r, s), (r, s)
+
+
+def test_the_stability_window_keeps_exactly_the_stable_adem_terms():
+    # the rewrite routes' enumeration against adem_step's whole window,
+    # filtered by instability on a class of degree ``below``
+    for r in range(200):
+        for s in range((r + 1) // 2):  # r > 2s
+            full = [pair for pair, _ in adem_step(r, s)]
+            want = [[(t, i) for t, i in full if i >= below and t >= below + i] for below in range(64)]
+            assert [rewriting._adem_terms(r, s, below) for below in range(64)] == want, (r, s)
 
 
 def test_adem_step_rejects_admissible_pairs():
@@ -323,19 +333,21 @@ def test_long_stable_words_match_the_bare_reduction(word):
         assert normalize_word(word, "x", context, strategy) == want, strategy
 
 
-# adem_step calls for Q116 Q54 Q22 Q6 x on fresh caches.
+# Adem steps for Q116 Q54 Q22 Q6 x on fresh caches: each step asks the Adem
+# enumerator for its stable terms once.
 PINNED_ADEM_STEPS = {"bottom-up": 25, "top-down": 58, "rightmost": 29}
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_adem_steps_on_a_long_word_are_pinned(strategy, monkeypatch):
     calls = []
+    adem_terms = rewriting._adem_terms
 
-    def counted_adem_step(r, s):
+    def counted_adem_terms(r, s, below=None):
         calls.append((r, s))
-        return adem_step(r, s)
+        return adem_terms(r, s, below)
 
-    monkeypatch.setattr(rewriting, "adem_step", counted_adem_step)
+    monkeypatch.setattr(rewriting, "_adem_terms", counted_adem_terms)
     normalize_word(LONG_STABLE_WORDS[0], "x", parse_context("gen x deg 2\n"), strategy)
     assert len(calls) == PINNED_ADEM_STEPS[strategy]
 
@@ -420,6 +432,54 @@ def test_printing_matches_formatting_the_expression_tree(text):
         assert str(p) == format_expression(p.to_expression())
 
 
+def two_key_sort(p):
+    """Oracle: the canonical order as two sorts, the monomials by a key that
+    sorts their factors and then each monomial's factors by their own key."""
+
+    def factor_key(factor):
+        (ops, g), e = factor
+        return (sum(ops), ops, g, e)
+
+    def mono_key(mono):
+        degree = sum((p.context.degree(g) + sum(ops)) * e for (ops, g), e in mono)
+        return degree, tuple(sorted(map(factor_key, mono)))
+
+    return [sorted(m, key=factor_key) for m in sorted(p.monomials, key=mono_key)]
+
+
+# the generators y, x and z, of degrees 1, 2 and 3, and operation words on
+# them, several to a degree; a generator's key sorts before any word's
+GENERATOR_WORDS = (((), "y"), ((), "x"), ((), "z"))
+OPERATION_WORDS = (((1,), "y"), ((1,), "x"), ((2,), "y"), ((0,), "z"), ((2,), "x"))
+
+
+@st.composite
+def monomial_sets(draw):
+    """2..12 monomials, each an optional power of a generator times powers of
+    1..3 operation words, with exponents 1..2.  So monomials of one degree
+    and one leading factor, which only their later factors order, are
+    common."""
+    lead = st.none() | st.tuples(st.sampled_from(GENERATOR_WORDS), st.integers(1, 2))
+    rest = st.dictionaries(st.sampled_from(OPERATION_WORDS), st.integers(1, 2), min_size=1, max_size=3)
+    monomials = draw(st.lists(st.tuples(lead, rest), min_size=2, max_size=12))
+    return frozenset(tuple(sorted([*([first] if first else []), *rest.items()])) for first, rest in monomials)
+
+
+# y Q1 y times each of Q2 x, Q3 y and Q1 z, whose keys sort after Q1 y's: one
+# degree and two equal leading factors
+TIED_MONOMIALS = frozenset(
+    ((((), "y"), 1), (((1,), "y"), 1), (word, 1)) for word in (((2,), "x"), ((3,), "y"), ((1,), "z"))
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@example(TIED_MONOMIALS)
+@given(monomial_sets())
+def test_canonical_order_matches_the_two_key_sort(monomials):
+    p = DLPolynomial(parse_context("gen x deg 2\ngen y deg 1\ngen z deg 3\n"), monomials)
+    assert p.sorted_monomials() == two_key_sort(p)
+
+
 def test_printing_builds_no_expression_nodes(monkeypatch):
     ctx = x_context()
     polys = [normalize(text, ctx) for text in PRINTING_GOLDENS]
@@ -470,9 +530,15 @@ def build_deep_chain(kind, leaf=GenRef("x")):
 
 @pytest.fixture(scope="module")
 def deep_chain():
-    """``build_deep_chain``, memoized for this module's tests only, so that
-    later tests do not carry the chains through every collection."""
-    return functools.lru_cache(maxsize=None)(build_deep_chain)
+    """``build_deep_chain`` for every kind and both leaves, built once for
+    this module's tests only, so that later tests do not carry the chains
+    through every collection.  While they live, ``gc.freeze`` keeps them,
+    and everything else built so far, out of the collector's generations."""
+    leaves = GenRef("x"), "x"
+    chains = {(kind, leaf): build_deep_chain(kind, leaf) for kind in DEEP_CHAINS for leaf in leaves}
+    gc.freeze()
+    yield lambda kind, leaf=GenRef("x"): chains[kind, leaf]
+    gc.unfreeze()
 
 
 def deep_map(node, kind):

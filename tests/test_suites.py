@@ -151,7 +151,10 @@ WRONG_VALUES = {
     "SPOT_VALUE": ("xi2^2", ["model-compat/02-spot-value"]),
     "SUSPENDED_QBAR_IMAGE": ("Q10 y'5", ["firstjuggle-algebra/03-suspended-qbar"]),
     "EMPTY_DEGREES": ((5, 7, 11, 13, 14), ["indeterminacy/01-low-degrees", "xi5-chain/04-indeterminacy"]),
-    "LINE_DEGREE": (30, ["indeterminacy/02-degree-31", "xi5-chain/04-indeterminacy"]),
+    "LINE_DEGREE": (
+        30,
+        ["indeterminacy/02-degree-31", "indeterminacy/03-relation-scan", "xi5-chain/04-indeterminacy"],
+    ),
     "BRACKET2": ("2 - 126 v3 alpha^7", ["appendix/01-bracket2"]),
     "G_CUBIC": ("-14 v3 alpha^5", ["appendix/02-g-cubic"]),
     "KINV_Y2": ("-1 + 3 v3 alpha^7", ["appendix/03-kinv"]),
@@ -207,6 +210,56 @@ def test_a_scan_that_finds_an_indecomposable_fails_every_row_that_reads_it(monke
         "indeterminacy/04-firstjuggle-scan",
         "xi5-chain/04-indeterminacy",
     ]
+
+
+def _scan_with(monkeypatch, generator, **fields):
+    """Patch the scan of the suspended map from ``generator`` so that its first
+    term's row holds ``fields``."""
+    real = suites.indeterminacy_scan
+
+    def patched(*args):
+        scan = real(*args)
+        if scan["generator"] != generator:
+            return scan
+        first, *rest = scan["terms"]
+        return {**scan, "terms": [{**first, **fields}, *rest]}
+
+    monkeypatch.setattr(suites, "indeterminacy_scan", patched)
+
+
+def test_a_relation_value_outside_the_line_degree_fails_the_relation_scan_row(monkeypatch):
+    # every value is decomposable still; only the row that states the
+    # values' degree reads it
+    _scan_with(monkeypatch, "z'31", value_degrees=[suites.LINE_DEGREE, 33])
+    report = run_suite("all", {"scrub_timing": True})
+    failed = {row["id"]: row["witness"] for row in report["checks"] if row["status"] != "pass"}
+    assert failed == {"indeterminacy/03-relation-scan": "values in degrees [33]"}
+
+
+def test_the_chain_witness_reads_the_first_juggle_slot_degree_from_its_scan(monkeypatch):
+    _scan_with(monkeypatch, "z'15", source_degree=6)
+    rows = {row["id"]: row for row in run_suite("xi5-chain", {"scrub_timing": True})["checks"]}
+    assert "and 5, 6 all land" in rows["04-indeterminacy"]["witness"]
+
+
+# each sweep bound -> a smaller bound, and the row that sweeps to it
+SMALLER_BOUNDS = {
+    "SWEEP_OPERATIONS": (20, "model-compat", "01-commute-sweep", "s <= 20 on"),
+    "SWEEP_DEGREE": (12, "model-compat", "01-commute-sweep", "degree <= 12"),
+    "SQUARES_UP_TO": (7, "model-compat", "03-squares", "k <= 7"),
+    "CONJUGATE_DEGREE": (30, "steinberger", "01-generating-function", "through degree 30"),
+    "ASSOCIATIVITY_DEGREE": (10, "appendix", "11-associativity", "total degree 10"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALLER_BOUNDS))
+def test_a_sweep_bound_is_printed_by_the_row_that_sweeps_to_it(monkeypatch, name):
+    bound, suite, row_id, text = SMALLER_BOUNDS[name]
+    monkeypatch.setattr(suites, name, bound)
+    row = {r["id"]: r for r in run_suite(suite, {"scrub_timing": True})["checks"]}[row_id]
+    assert row["status"] == "pass" and text in row["witness"]
+    if suite == "appendix":  # the one row whose statement states its bound too
+        assert text in row["statement"]
 
 
 def test_a_nonzero_juggling_residual_fails_both_rows_that_read_it(monkeypatch):
