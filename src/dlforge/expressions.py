@@ -146,12 +146,19 @@ class GeneratorContext:
         return "GeneratorContext(%s)" % decls
 
 
+# Digits are the ASCII digits only, in operation superscripts, exponents and
+# generator names alike; any other character that Unicode calls a digit is
+# an unexpected character.
+_DIGITS = "0123456789"
+_NAME_MARKS = _DIGITS + "_'"  # what may follow the first letter of a name, besides letters
+
+
 def _check_gen_name(name):
     if not name or not name[0].isalpha():
         raise ValueError("bad generator name %r" % name)
-    if not all(c.isalnum() or c in "_'" for c in name[1:]):
+    if not all(c.isalpha() or c in _NAME_MARKS for c in name[1:]):
         raise ValueError("bad generator name %r" % name)
-    if name[0] == "Q" and len(name) > 1 and name[1:].isdigit():
+    if name[0] == "Q" and len(name) > 1 and not name[1:].strip(_DIGITS):
         raise ValueError("generator name %r collides with the operation syntax" % name)
 
 
@@ -227,23 +234,23 @@ def _tokenize(text):
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("INT", int(text[i:j]), i))
             i = j
             continue
-        if c == "Q" and i + 1 < n and text[i + 1].isdigit():
+        if c == "Q" and i + 1 < n and text[i + 1] in _DIGITS:
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("Q", int(text[i + 1 : j]), i))
             i = j
             continue
         if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
+            j = i + 1
+            while j < n and (text[j].isalpha() or text[j] in _NAME_MARKS):
                 j += 1
             tokens.append(("NAME", text[i:j], i))
             i = j
@@ -362,9 +369,12 @@ def fold(node, gen, q, power, product, total):
     exp)`` a power, and ``product(factors)`` and ``total(terms)`` take the
     nonempty list of their children's values.  Children are folded left to
     right.  The stack is explicit, so the tree's depth is bounded by memory,
-    not by the interpreter's recursion limit.  This is the only place that dispatches on
+    not by the interpreter's recursion limit.  A lone generator is answered
+    before the stack is built.  This is the only place that dispatches on
     node class; anything else in the tree raises TypeError.
     """
+    if node.__class__ is GenRef:
+        return gen(node.name)
     # The nodes above ``node``, innermost last: an operation or power as
     # itself, a product or sum as (handler, children left, values so far).
     waiting = []
@@ -410,23 +420,45 @@ def fold(node, gen, q, power, product, total):
 # -- printing -----------------------------------------------------------------
 
 
-# Each node prints to (text, rank) and is parenthesized at every precedence
+# Each node prints to (pieces, rank): its text as a list of strings and of
+# its children's lists, so that no level copies its children's text; the
+# root's pieces are joined once.  A node is parenthesized at every precedence
 # level from its rank up.  Levels: 0 sum, 1 product, 2 factor (powers and
 # operation applications), 3 primary.  An operation application is itself a
 # factor, so chains like Q12 Q8 x print flat; only a power forces parentheses
 # around its base.
+
+
+def _wrapped(pieces, rank, level):
+    return pieces if rank > level else ["(", pieces, ")"]
+
+
+def _between(separator, pieces):
+    out = [separator] * (2 * len(pieces) - 1)
+    out[::2] = pieces
+    return out
+
+
 _PRINT = (
     lambda name: (name, 4),
-    lambda s, arg: ("Q%d %s" % (s, arg[0] if arg[1] > 2 else "(%s)" % arg[0]), 3),
-    lambda base, exp: ("%s^%d" % (base[0] if base[1] > 3 else "(%s)" % base[0], exp), 3),
-    lambda factors: (" ".join([t if r > 2 else "(%s)" % t for t, r in factors]), 2),
-    lambda terms: (" + ".join([t if r > 1 else "(%s)" % t for t, r in terms]), 1),
+    lambda s, arg: (["Q%d " % s, _wrapped(*arg, 2)], 3),
+    lambda base, exp: ([_wrapped(*base, 3), "^%d" % exp], 3),
+    lambda factors: (_between(" ", [_wrapped(t, r, 2) for t, r in factors]), 2),
+    lambda terms: (_between(" + ", [_wrapped(t, r, 1) for t, r in terms]), 1),
 )
 
 
 def format_expression(node):
     """Canonical textual form; parses back to an equal AST."""
-    return fold(node, *_PRINT)[0]
+    text = []
+    stack = [fold(node, *_PRINT)[0]]
+    while stack:  # the pieces in order, each string once
+        pieces = stack.pop()
+        if pieces.__class__ is str:
+            text.append(pieces)
+        else:
+            stack.extend(reversed(pieces))
+    return "".join(text)
 
 
 # -- degree and E_n bookkeeping -----------------------------------------------

@@ -156,17 +156,23 @@ class _Engine(CartanExtension):
 
     def __init__(self, context):
         self.ctx = context
+        # every name the engine meets was checked against the context on the way in
+        self.generator_degrees = context.degrees
         self._mono_cache = context._mono_cache
         self.steps = 0
 
     def generator_degree(self, word):
         ops, g = word
-        return self.ctx.degree(g) + sum(ops)
+        return self.generator_degrees[g] + sum(ops)
 
     # -- the Cartan primitives on sorted (word, exponent) tuples ----------------
 
     def mono_degree(self, mono):
-        return sum(self.generator_degree(w) * e for w, e in mono)
+        degrees = self.generator_degrees
+        total = 0
+        for (ops, g), e in mono:
+            total += (degrees[g] + sum(ops)) * e
+        return total
 
     @staticmethod
     def lone_generator(mono):
@@ -187,7 +193,7 @@ class _Engine(CartanExtension):
         return square, self.mono_degree(square), tuple((w, 1) for w, e in mono if e & 1)
 
     def degrees(self, p):
-        return sorted({self.mono_degree(m) for m in p})
+        return sorted(set(map(self.mono_degree, p)))
 
     # -- polynomial helpers (frozensets of monomials) --------------------------
 
@@ -201,11 +207,17 @@ class _Engine(CartanExtension):
             have[w] = have.get(w, 0) + e
         return tuple(sorted(have.items()))
 
-    def mul(self, p, q):
+    @staticmethod
+    def mul(p, q):
         out = set()
+        mul_mono = _Engine.mul_mono
         for m1 in p:
             for m2 in q:
-                out ^= {self.mul_mono(m1, m2)}
+                m = mul_mono(m1, m2)
+                if m in out:
+                    out.remove(m)
+                else:
+                    out.add(m)
         return frozenset(out)
 
     @staticmethod
@@ -217,7 +229,8 @@ class _Engine(CartanExtension):
 
     def apply_poly(self, s, p):
         if len(p) == 1:  # the memoized value itself, not a copy
-            return self.apply_mono(s, next(iter(p)))
+            (mono,) = p
+            return self._mono_cache.get((s, mono)) or self.apply_mono(s, mono)
         out = set()
         for m in p:
             out ^= self.apply_mono(s, m)
@@ -260,7 +273,7 @@ class _Engine(CartanExtension):
     def word(self, name):
         """The value of the generator ``name``: the monomial of its empty word."""
         self.ctx.degree(name)  # raises on unknown names
-        return frozenset({((((), name), 1),)})
+        return _generator_value(name)
 
     def power(self, p, n):
         out = _ONE
@@ -310,8 +323,7 @@ class DLPolynomial:
 
     def __mul__(self, other):
         self._check(other)
-        eng = _Engine(self.context)
-        return DLPolynomial(self.context, eng.mul(self.monomials, other.monomials))
+        return DLPolynomial(self.context, _Engine.mul(self.monomials, other.monomials))
 
     def _check(self, other):
         if (
@@ -325,14 +337,13 @@ class DLPolynomial:
 
     # -- canonical form ------------------------------------------------------
 
-    def sorted_monomials(self):
-        """The monomials in canonical order, each as its (word, exponent)
-        factors in canonical order.
+    def _canonical(self):
+        """The canonical order: one (total degree, factor keys) pair per
+        monomial, sorted.
 
         A factor's key is (operation degree, superscripts, generator,
-        exponent) and a monomial's is (total degree, its factors' keys in
-        order); each monomial's factor keys are sorted once, and the key
-        determines the factor, so the factors are read back from it.
+        exponent), and a monomial's factor keys are sorted once; the key
+        determines the factor, so readers take the factors from it.
         """
         degree = self.context.degree
         keyed = []
@@ -340,7 +351,12 @@ class DLPolynomial:
             keys = sorted([(sum(ops), ops, g, e) for (ops, g), e in mono])
             keyed.append((sum([(degree(g) + weight) * e for weight, _, g, e in keys]), keys))
         keyed.sort()
-        return [[((ops, g), e) for _, ops, g, e in keys] for _, keys in keyed]
+        return keyed
+
+    def sorted_monomials(self):
+        """The monomials in canonical order, each as its (word, exponent)
+        factors in canonical order."""
+        return [[((ops, g), e) for _, ops, g, e in keys] for _, keys in self._canonical()]
 
     def to_expression(self):
         """Rebuild a canonical AST (None stands for the zero polynomial)."""
@@ -358,13 +374,13 @@ class DLPolynomial:
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def __str__(self):
-        """Canonical text, formatted from the monomials without building a tree;
+        """Canonical text, formatted from the sort keys without building a tree;
         ``format_expression(self.to_expression())`` is its test oracle."""
         terms = []
-        for factors in self.sorted_monomials():
+        for _, keys in self._canonical():
             texts = []
-            for (ops, g), e in factors:
-                word = " ".join(["Q%d" % s for s in ops] + [g])
+            for _, ops, g, e in keys:
+                word = "Q%d " * len(ops) % ops + g
                 texts.append(word if e == 1 else ("(%s)^%d" if ops else "%s^%d") % (word, e))
             terms.append(" ".join(texts))
         return " + ".join(terms) or "0"
@@ -396,13 +412,17 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
     argument degree changes.  Only an admissible sequence with an entry
     equal to the degree below it (a square) goes through the engine; the
     others are basis words.  Confluence means all three answers agree.
+
+    ``bottom-up`` always builds the engine (an ``_Engine`` on ``context``
+    and the generator's monomial).  The sequence routes build it once, after
+    the reduction, and only when some admissible sequence has a square
+    entry; a word that reduces to basis words alone builds none.
     """
     superscripts = tuple(superscripts)
     degree = context.degree(generator)  # raises on unknown names
-    eng = _Engine(context)
-    base = frozenset({((((), generator), 1),)})
     if strategy == "bottom-up":
-        return DLPolynomial(context, eng.apply_word(superscripts, base))
+        value = _Engine(context).apply_word(superscripts, _generator_value(generator))
+        return DLPolynomial(context, value)
     if strategy not in ("top-down", "rightmost"):
         raise ValueError("unknown strategy %r" % strategy)
     below = degree
@@ -420,25 +440,42 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
             if seq[spot] > 2 * seq[spot + 1]:
                 break
         else:
-            admissible ^= {seq}
+            if seq in admissible:
+                admissible.remove(seq)
+            else:
+                admissible.add(seq)
             continue
         steps += 1
         if steps > STEP_BUDGET:
             raise RewriteBudgetExceeded("rewrite budget exhausted")
-        below = degree + sum(seq[spot + 2 :])
-        for top, inner in _adem_terms(seq[spot], seq[spot + 1], below):
-            pending ^= {seq[:spot] + (top, inner) + seq[spot + 2 :]}
+        head, tail = seq[:spot], seq[spot + 2 :]
+        for pair in _adem_terms(seq[spot], seq[spot + 1], degree + sum(tail)):
+            new = head + pair + tail
+            if new in pending:
+                pending.remove(new)
+            else:
+                pending.add(new)
     out = set()
+    squares = []
     for seq in admissible:
         below = degree
         for s in reversed(seq):
             if s == below:
-                out ^= eng.apply_word(seq, base)
+                squares.append(seq)
                 break
             below += s
         else:
-            out ^= {(((seq, generator), 1),)}
+            out.add((((seq, generator), 1),))  # one basis word per sequence
+    if squares:
+        engine, base = _Engine(context), _generator_value(generator)
+        for seq in squares:
+            out ^= engine.apply_word(seq, base)
     return DLPolynomial(context, out)
+
+
+def _generator_value(name):
+    """The monomial of the empty word on ``name``, as a polynomial."""
+    return frozenset({((((), name), 1),)})
 
 
 def _coerce_side(value, context):

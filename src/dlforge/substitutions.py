@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from functools import reduce
+from collections import deque
 
 from .expressions import (
     GenRef,
@@ -189,12 +189,23 @@ def _flatten_terms(node):
 
 # While flattening, a term is the list of its factors.  Each list a fold
 # handler returns belongs to that node's value only, so a parent may grow its
-# first child's list in place; then a chain nested on the left flattens in
-# linear time.
+# longest child's list in place; then a chain nested on either side flattens
+# in linear time.
 
 
 def _chained(lists):
-    return reduce(operator.iadd, lists[1:], lists[0])
+    """The concatenation of ``lists``, in order, as a deque grown from the
+    longest of them: the lists before it are added on the left, the lists
+    after it on the right, and its own entries are not copied again."""
+    longest = max(range(len(lists)), key=lambda i: len(lists[i]))
+    out = lists[longest]
+    if out.__class__ is not deque:
+        out = deque(out)
+    for before in reversed(lists[:longest]):
+        out.extendleft(reversed(before))
+    for after in lists[longest + 1 :]:
+        out.extend(after)
+    return out
 
 
 def _distributed(factors):

@@ -172,6 +172,19 @@ def test_normalize_rejects_unknown_generator(tmp_path):
     assert proc.stderr == "error: unknown generator 'w'\n"
 
 
+# superscript two and Arabic-Indic three are Unicode digits, not ASCII ones
+@pytest.mark.parametrize("expr, position", [("x^\u00b2", 2), ("Q\u00b2 x", 1), ("Q\u0663 x", 1)])
+@pytest.mark.parametrize("command", ["normalize", "en-level"])
+def test_a_non_ascii_digit_is_an_unexpected_character(tmp_path, command, expr, position):
+    context = tmp_path / "ctx.txt"
+    context.write_text("gen x deg 2\n")
+    proc = run_cli(command, "--context", str(context), "--expr", expr)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    want = "error: unexpected character %r (at position %d)\n" % (expr[position], position)
+    assert proc.stderr == want
+
+
 def test_negative_generator_degree_is_a_usage_error(tmp_path):
     context = tmp_path / "ctx.txt"
     context.write_text("gen x deg -2\n")

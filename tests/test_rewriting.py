@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dlforge import rewriting
+from dlforge import expressions, rewriting, substitutions
 from dlforge.expressions import (
     GeneratorContext,
     GenRef,
@@ -160,6 +160,31 @@ def test_parse_errors():
         parse_expression("(x", ctx)
     with pytest.raises(UnknownGeneratorError):
         parse_expression("Q3 w", ctx)
+
+
+# characters that Unicode calls digits but that are not ASCII digits:
+# superscript two and Arabic-Indic three
+@pytest.mark.parametrize("text, position", [("x^\u00b2", 2), ("Q\u00b2 x", 1), ("Q\u0663 x", 1), ("x\u0663", 1)])
+def test_only_ascii_digits_are_read_as_digits(text, position):
+    from dlforge.expressions import ExpressionSyntaxError
+
+    with pytest.raises(ExpressionSyntaxError) as raised:
+        parse_expression(text, x_context())
+    assert str(raised.value) == "unexpected character %r (at position %d)" % (text[position], position)
+    assert raised.value.position == position
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("Q\u0663", "bad generator name"),
+        ("x\u00b2", "bad generator name"),
+        ("Q7", "collides with the operation syntax"),
+    ],
+)
+def test_a_generator_name_takes_only_ascii_digits(name, message):
+    with pytest.raises(ValueError, match=message):
+        parse_context("gen %s deg 2\n" % name)
 
 
 # -- instability and small goldens ----------------------------------------
@@ -385,6 +410,28 @@ def test_apply_poly_calls_on_a_long_word_are_pinned(strategy, monkeypatch):
     assert len(calls) == PINNED_APPLY_POLY_CALLS[strategy]
 
 
+# _Engine instances one sequence-route call builds on a fresh context: none
+# for a word that reduces to basis words alone, one when the reduction
+# reaches a square sequence (Q2 x is x^2).
+PINNED_ENGINES = {(5,): 0, (30, 7): 0, (2,): 1, LONG_STABLE_WORDS[0]: 1}
+
+
+@pytest.mark.parametrize("strategy", sorted(PINNED_APPLY_POLY_CALLS))
+@pytest.mark.parametrize("word", sorted(PINNED_ENGINES), ids=lambda w: "-".join("Q%d" % s for s in w))
+def test_the_sequence_routes_build_an_engine_only_for_a_square_sequence(word, strategy, monkeypatch):
+    built = []
+    init = rewriting._Engine.__init__
+
+    def counted_init(self, context):
+        built.append(context)
+        init(self, context)
+
+    monkeypatch.setattr(rewriting._Engine, "__init__", counted_init)
+    value = normalize_word(word, "x", parse_context("gen x deg 2\n"), strategy)
+    assert len(built) == PINNED_ENGINES[word]
+    assert value == normalize_word(word, "x", parse_context("gen x deg 2\n"))
+
+
 # -- printing ---------------------------------------------------------------
 
 
@@ -411,25 +458,28 @@ PRINTING_GOLDENS = {
     "Q5 x Q2 x": "x^2 Q5 x",
     "Q1 x": "0",
     "x + x": "0",
+    "(Q17 Q13 x)^2": "(Q17 Q13 x)^2",
 }
+
+
+def printed_from_the_tree(p):
+    """The printer's oracle: the canonical tree, formatted ("0" when there is none)."""
+    node = p.to_expression()
+    return "0" if node is None else format_expression(node)
 
 
 @pytest.mark.parametrize("text", sorted(PRINTING_GOLDENS))
 def test_printing_goldens(text):
     p = normalize(text, x_context())
     assert str(p) == PRINTING_GOLDENS[text]
-    if not p.is_zero():
-        assert str(p) == format_expression(p.to_expression())
+    assert str(p) == printed_from_the_tree(p)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(expression_texts())
 def test_printing_matches_formatting_the_expression_tree(text):
     p = normalize(text, x_context())
-    if p.is_zero():
-        assert str(p) == "0"
-    else:
-        assert str(p) == format_expression(p.to_expression())
+    assert str(p) == printed_from_the_tree(p)
 
 
 def two_key_sort(p):
@@ -632,6 +682,83 @@ def test_a_non_node_deep_in_a_tree_raises_a_type_error_on_every_route(route, dee
     for kind in DEEP_CHAINS:
         with pytest.raises(TypeError, match="not an expression node: 'x'"):
             walk(deep_chain(kind, "x"), kind)
+
+
+# Each chain nested on the right, wrapping the tree so far as the last child;
+# with the left-nested chains of DEEP_CHAINS, "nested either way".
+RIGHT_NESTED = {
+    "sum": lambda node: Sum((GenRef("x"), node)),
+    "product": lambda node: Product((GenRef("x"), node)),
+}
+RIGHT_NESTED_TEXTS = {
+    "sum": "x + (" * (DEEP - 1) + "x + x" + ")" * (DEEP - 1),
+    "product": "x (" * (DEEP - 1) + "x x" + ")" * (DEEP - 1),
+}
+
+
+def right_nested_chain(kind):
+    node = GenRef("x")
+    for _ in range(DEEP):
+        node = RIGHT_NESTED[kind](node)
+    return node
+
+
+def printing_work(node, monkeypatch):
+    """format_expression(node), and the summed size of what each level of the
+    printing fold builds: the characters of a string, the entries of a list."""
+    sizes = []
+
+    def counted(handler):
+        def counted_handler(*args):
+            value = handler(*args)
+            sizes.append(len(value[0]))
+            return value
+
+        return counted_handler
+
+    monkeypatch.setattr(expressions, "_PRINT", tuple(map(counted, expressions._PRINT)))
+    text = format_expression(node)
+    monkeypatch.undo()
+    return text, sum(sizes)
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_CHAINS))
+def test_printing_builds_work_linear_in_the_node_count(kind, deep_chain, monkeypatch):
+    nodes = {"sum": 2 * DEEP + 1, "product": 2 * DEEP + 1, "q": DEEP + 1, "power": DEEP + 1}[kind]
+    text, work = printing_work(deep_chain(kind), monkeypatch)
+    assert text == DEEP_TEXTS[kind]
+    assert work <= 2 * nodes
+    if kind in RIGHT_NESTED:
+        text, right_work = printing_work(right_nested_chain(kind), monkeypatch)
+        assert text == RIGHT_NESTED_TEXTS[kind]
+        assert right_work <= 2 * nodes
+
+
+def flattening_work(node, monkeypatch):
+    """_flatten_terms(node) as text, and the entries its concatenations copied:
+    those of every list but the one a concatenation returns, grown in place."""
+    copied = []
+    chained = substitutions._chained
+
+    def counted_chained(lists):
+        out = chained(lists)
+        copied.append(sum(len(entries) for entries in lists if entries is not out))
+        return out
+
+    monkeypatch.setattr(substitutions, "_chained", counted_chained)
+    terms = [format_expression(t) for t in _flatten_terms(node)]
+    monkeypatch.undo()
+    return terms, sum(copied)
+
+
+@pytest.mark.parametrize("kind", sorted(RIGHT_NESTED))
+def test_flattening_a_right_nested_chain_copies_at_most_twice_its_left_twin(kind, deep_chain, monkeypatch):
+    want = DEEP_TREE_ROUTES["_flatten_terms"][1][kind]
+    left, left_work = flattening_work(deep_chain(kind), monkeypatch)
+    right, right_work = flattening_work(right_nested_chain(kind), monkeypatch)
+    assert left == right == want
+    assert left_work <= 2 * DEEP + 2
+    assert right_work <= 2 * left_work
 
 
 def test_en_level_routes_keep_the_first_maximal_pair():
