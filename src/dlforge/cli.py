@@ -19,6 +19,7 @@ from .expressions import (
     min_en_level,
     parse_context,
     parse_expression,
+    read_int,
 )
 from .rewriting import normalize
 
@@ -48,7 +49,7 @@ def parse_config_text(text):
             )
         if key in ("max_degree", "truncation"):
             try:
-                config[key] = int(value)
+                config[key] = read_int(value)
             except ValueError:
                 raise ConfigError("line %d: %s needs an integer, got %r" % (lineno, key, value)) from None
         else:
@@ -59,12 +60,21 @@ def parse_config_text(text):
     return config
 
 
+def _int_flag(text):
+    """``type=`` of the integer flags: ``read_int``, with argparse's own message."""
+    try:
+        return read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+
+
 def _load_context(path):
     with open(path) as handle:
         return parse_context(handle.read())
 
 
 def _cmd_run(args):
+    from .polynomial import FIELD_LIMIT
     from .suites import emit_report, run_suite
 
     config = {}
@@ -80,6 +90,8 @@ def _cmd_run(args):
     for key in ("max_degree", "truncation"):
         if config.get(key, 0) < 0:
             raise ConfigError("%s must be nonnegative, got %d" % (key, config[key]))
+    if config.get("max_degree", 0) >= FIELD_LIMIT:  # no packed key holds such a degree
+        raise ConfigError("max_degree must be below %d, got %d" % (FIELD_LIMIT, config["max_degree"]))
     report = run_suite(args.suite, config)
     text = emit_report(report, path=args.report, fmt=args.format)
     if args.report is None:
@@ -130,8 +142,8 @@ def build_parser():
 
     run_p = sub.add_parser("run", help="execute a verification suite")
     run_p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
-    run_p.add_argument("--max-degree", type=int, default=None)
-    run_p.add_argument("--truncation", type=int, default=None)
+    run_p.add_argument("--max-degree", type=_int_flag, default=None)
+    run_p.add_argument("--truncation", type=_int_flag, default=None)
     run_p.add_argument("--config", default=None, help="key=value config file")
     run_p.add_argument("--report", default=None, help="write the report here instead of stdout")
     run_p.add_argument("--format", choices=("json", "text"), default="json")

@@ -121,6 +121,7 @@ class GeneratorContext:
                 raise ValueError("base generator %r is not declared" % b)
         self._word_cache = {}
         self._mono_cache = {}
+        self._generator_values = {}
 
     def degree(self, name):
         try:
@@ -151,6 +152,20 @@ class GeneratorContext:
 # an unexpected character.
 _DIGITS = "0123456789"
 _NAME_MARKS = _DIGITS + "_'"  # what may follow the first letter of a name, besides letters
+
+
+def read_int(text):
+    """The integer ``text`` writes in ASCII digits after an optional ``-``.
+
+    Every integer read from outside the program goes through here: other
+    Unicode digits, ``_`` separators and a leading ``+`` or blank, which
+    ``int()`` would take, raise ValueError, as the tokenizer reads only the
+    digits of ``_DIGITS``.
+    """
+    digits = text[1:] if text[:1] == "-" else text
+    if not digits or digits.strip(_DIGITS):
+        raise ValueError("invalid integer %r" % text)
+    return int(text)
 
 
 def _check_gen_name(name):
@@ -347,7 +362,7 @@ def parse_context(text):
         if len(parts) != 4 or parts[0] not in ("gen", "base") or parts[2] != "deg":
             raise ValueError("line %d: expected 'gen NAME deg INT', got %r" % (lineno, raw))
         try:
-            deg = int(parts[3])
+            deg = read_int(parts[3])
         except ValueError:
             raise ValueError("line %d: bad degree %r" % (lineno, parts[3])) from None
         gens.append((parts[1], deg))

@@ -102,7 +102,9 @@ class CartanExtension:
     u = m^2 off its square-free part v, so each Q^i(m^2) takes the square
     rule, and the pairs Q^i x Q^j x + Q^j x Q^i x that cancel mod 2 are
     never built.  Values are memoized per (s, monomial) in ``_mono_cache``,
-    which is read before each recursion.
+    which is read before each recursion.  A memoized zero is a hit like any
+    other value: a miss is ``None``, never a false value, so each lookup
+    reads the memo once.
 
     Only the empty monomial is false; subclasses read the rest through four
     primitives: ``mono_degree``, ``lone_generator`` (the generator when the
@@ -131,10 +133,14 @@ class CartanExtension:
             cached = self._mono_cache.get
             pairs = []
             for i in range(first_degree, s - self.mono_degree(rest) + 1):
-                left = cached((i, first)) or self.apply_mono(i, first)
+                left = cached((i, first))
+                if left is None:
+                    left = self.apply_mono(i, first)
                 if self.is_zero(left):
                     continue
-                right = cached((s - i, rest)) or self.apply_mono(s - i, rest)
+                right = cached((s - i, rest))
+                if right is None:
+                    right = self.apply_mono(s - i, rest)
                 if not self.is_zero(right):
                     pairs.append((left, right))
             result = self.sum_products(pairs)
@@ -158,6 +164,7 @@ class _Engine(CartanExtension):
         self.ctx = context
         # every name the engine meets was checked against the context on the way in
         self.generator_degrees = context.degrees
+        self.generator_values = context._generator_values
         self._mono_cache = context._mono_cache
         self.steps = 0
 
@@ -202,10 +209,14 @@ class _Engine(CartanExtension):
 
     @staticmethod
     def mul_mono(m1, m2):
-        have = dict(m1)
-        for w, e in m2:
-            have[w] = have.get(w, 0) + e
-        return tuple(sorted(have.items()))
+        """The product of two monomials: one sort of their factors together,
+        then one pass from the end that adds the exponents of adjacent equal
+        words."""
+        m = sorted(m1 + m2)
+        for i in range(len(m) - 1, 0, -1):
+            if m[i][0] == m[i - 1][0]:
+                m[i - 1] = (m[i][0], m[i - 1][1] + m.pop(i)[1])
+        return tuple(m)
 
     @staticmethod
     def mul(p, q):
@@ -230,7 +241,8 @@ class _Engine(CartanExtension):
     def apply_poly(self, s, p):
         if len(p) == 1:  # the memoized value itself, not a copy
             (mono,) = p
-            return self._mono_cache.get((s, mono)) or self.apply_mono(s, mono)
+            result = self._mono_cache.get((s, mono))
+            return self.apply_mono(s, mono) if result is None else result
         out = set()
         for m in p:
             out ^= self.apply_mono(s, m)
@@ -245,8 +257,9 @@ class _Engine(CartanExtension):
     def generator_action(self, s, word):
         cache = self.ctx._word_cache
         key = (s, word)
-        if key in cache:
-            return cache[key]
+        result = cache.get(key)
+        if result is not None:
+            return result
         d = self.generator_degree(word)
         if s < d:
             result = _ZERO
@@ -271,18 +284,26 @@ class _Engine(CartanExtension):
     # -- expression evaluation ---------------------------------------------------
 
     def word(self, name):
-        """The value of the generator ``name``: the monomial of its empty word."""
-        self.ctx.degree(name)  # raises on unknown names
-        return _generator_value(name)
+        """The value of the generator ``name``: the monomial of its empty word,
+        built once per name and context and kept in the context's
+        ``_generator_values``; an unknown name raises each time it is asked for."""
+        value = self.generator_values.get(name)
+        if value is None:
+            self.ctx.degree(name)  # raises on unknown names
+            value = self.generator_values[name] = _generator_value(name)
+        return value
 
     def power(self, p, n):
-        out = _ONE
-        while n:
+        """p^n, n >= 1: the product of the squares p^(2^k) over the set bits k
+        of n, begun at the lowest one; nothing is squared past the highest."""
+        out = None
+        while True:
             if n & 1:
-                out = self.mul(out, p)
-            p = self.square(p)  # Frobenius: (a+b)^2 = a^2 + b^2
+                out = p if out is None else self.mul(out, p)
             n >>= 1
-        return out
+            if not n:
+                return out
+            p = self.square(p)  # Frobenius: (a+b)^2 = a^2 + b^2
 
     def product(self, factors):
         return reduce(self.mul, factors)
@@ -345,11 +366,11 @@ class DLPolynomial:
         exponent), and a monomial's factor keys are sorted once; the key
         determines the factor, so readers take the factors from it.
         """
-        degree = self.context.degree
+        degrees = self.context.degrees  # every name here came through the context
         keyed = []
         for mono in self.monomials:
             keys = sorted([(sum(ops), ops, g, e) for (ops, g), e in mono])
-            keyed.append((sum([(degree(g) + weight) * e for weight, _, g, e in keys]), keys))
+            keyed.append((sum([(degrees[g] + weight) * e for weight, _, g, e in keys]), keys))
         keyed.sort()
         return keyed
 
@@ -421,8 +442,8 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
     superscripts = tuple(superscripts)
     degree = context.degree(generator)  # raises on unknown names
     if strategy == "bottom-up":
-        value = _Engine(context).apply_word(superscripts, _generator_value(generator))
-        return DLPolynomial(context, value)
+        engine = _Engine(context)
+        return DLPolynomial(context, engine.apply_word(superscripts, engine.word(generator)))
     if strategy not in ("top-down", "rightmost"):
         raise ValueError("unknown strategy %r" % strategy)
     below = degree
@@ -467,7 +488,8 @@ def normalize_word(superscripts, generator, context, strategy="bottom-up"):
         else:
             out.add((((seq, generator), 1),))  # one basis word per sequence
     if squares:
-        engine, base = _Engine(context), _generator_value(generator)
+        engine = _Engine(context)
+        base = engine.word(generator)
         for seq in squares:
             out ^= engine.apply_word(seq, base)
     return DLPolynomial(context, out)

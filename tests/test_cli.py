@@ -194,6 +194,54 @@ def test_negative_generator_degree_is_a_usage_error(tmp_path):
     assert proc.stderr == "error: generator 'x' has negative degree -2\n"
 
 
+# int() takes each of these: an Arabic-Indic three, a digit separator, a sign
+@pytest.mark.parametrize("degree", ["\u0663", "1_0", "+2"])
+def test_a_generator_degree_is_read_in_ascii_digits_only(tmp_path, degree):
+    context = tmp_path / "ctx.txt"
+    context.write_text("gen x deg %s\n" % degree, encoding="utf-8")
+    proc = run_cli("normalize", "--context", str(context), "--expr", "x")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: line 1: bad degree %r\n" % degree
+
+
+def test_a_config_integer_is_read_in_ascii_digits_only(tmp_path):
+    config = tmp_path / "cap.cfg"
+    config.write_text("max_degree = 4_0\n")
+    proc = run_cli("run", "--suite", "all", "--no-timing", "--config", str(config))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: line 1: max_degree needs an integer, got '4_0'\n"
+
+
+def test_an_integer_flag_is_read_in_ascii_digits_only():
+    # Arabic-Indic forty gets the usage error that any other non-integer gets
+    proc = run_cli("run", "--suite", "all", "--max-degree", "\u0664\u0660")
+    plain = run_cli("run", "--suite", "all", "--max-degree", "abc")
+    assert proc.returncode == plain.returncode == 2
+    assert proc.stdout == plain.stdout == ""
+    assert plain.stderr.endswith("error: argument --max-degree: invalid int value: 'abc'\n")
+    assert proc.stderr == plain.stderr.replace("'abc'", "'\u0664\u0660'")
+
+
+def test_a_degree_cap_no_packed_key_holds_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    from dlforge import cli, suites
+    from dlforge.polynomial import FIELD_LIMIT
+
+    monkeypatch.setattr(suites, "run_suite", lambda *args: pytest.fail("a suite ran"))
+    config = tmp_path / "cap.cfg"
+    config.write_text("max_degree = %d\n" % FIELD_LIMIT)
+    for cap, args in (
+        (FIELD_LIMIT, ["--max-degree", str(FIELD_LIMIT)]),
+        (10**11, ["--max-degree", str(10**11)]),
+        (FIELD_LIMIT, ["--config", str(config)]),
+    ):
+        assert cli.main(["run", "--suite", "all", "--no-timing", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: max_degree must be below %d, got %d\n" % (FIELD_LIMIT, cap)
+
+
 def test_en_level_subcommand(tmp_path):
     context = tmp_path / "ctx.txt"
     context.write_text("gen x deg 2\n")

@@ -432,6 +432,120 @@ def test_the_sequence_routes_build_an_engine_only_for_a_square_sequence(word, st
     assert value == normalize_word(word, "x", parse_context("gen x deg 2\n"))
 
 
+# -- the engine's products, memo reads and generator values ----------------------
+
+
+def dict_merge_product(m1, m2):
+    """``_Engine.mul_mono`` as a dict merge, the routine the one sort replaced;
+    kept as the oracle."""
+    have = dict(m1)
+    for w, e in m2:
+        have[w] = have.get(w, 0) + e
+    return tuple(sorted(have.items()))
+
+
+# few words, so that factors share a word and the empty monomial occur often
+MONOMIAL_WORDS = (((), "x"), ((), "y"), ((3,), "x"), ((5, 2), "x"))
+monomials = st.dictionaries(st.sampled_from(MONOMIAL_WORDS), st.integers(1, 4), max_size=3).map(
+    lambda factors: tuple(sorted(factors.items()))
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(monomials, monomials)
+def test_the_monomial_product_matches_the_dict_merge(m1, m2):
+    assert rewriting._Engine.mul_mono(m1, m2) == dict_merge_product(m1, m2)
+
+
+def test_an_unknown_generator_raises_each_time_it_is_valued():
+    ctx = x_context()
+    for _ in range(2):
+        with pytest.raises(UnknownGeneratorError):
+            normalize(GenRef("y"), ctx)
+    assert "y" not in ctx._generator_values
+
+
+def test_the_word_memo_holds_only_operation_word_pairs():
+    ctx = x_context()
+    normalize("Q40 Q16 Q6 x + Q9 (x Q5 x) + (Q3 x)^3", ctx)
+    assert ctx._word_cache
+    for s, (ops, g) in ctx._word_cache:
+        assert isinstance(s, int) and isinstance(ops, tuple) and g == "x"
+
+
+def engine_items(rng, count):
+    """Seeded corpus-like texts on x (degree 2): an inadmissible word of two or
+    three operations, and every third item Q^s of a product of two words."""
+
+    def word(length):
+        ops, below = [], 2
+        for _ in range(length):
+            ops.append(max(below, 2 * ops[-1] + 1 if ops else 0) + rng.randint(0, 6))
+            below += ops[-1]
+        return " ".join(["Q%d" % s for s in reversed(ops)] + ["x"]), below
+
+    items = []
+    for k in range(count):
+        if k % 3 == 2:
+            (u, du), (v, dv) = word(rng.randint(0, 1)), word(rng.randint(1, 2))
+            items.append("Q%d (%s %s)" % (du + dv + rng.randint(0, 6), u, v))
+        else:
+            items.append(word(rng.randint(2, 3))[0])
+    return items
+
+
+# Work of normalizing ENGINE_ITEMS, then each printed normal form, on one
+# fresh context; the same under every hash seed.  A memo read that finds a
+# value, zero included, is the lookup's only read: no caller enters
+# apply_mono for a key it has just read.  The generator's value is built once.
+ENGINE_ITEMS = engine_items(random.Random(2903), 60)
+PINNED_ENGINE_WORK = {
+    "monomial products": 138,
+    "apply_mono entries": 157,
+    "generator values": 1,
+    "zero-memo re-entries": 0,
+}
+
+
+def test_the_engine_work_on_a_seeded_corpus_is_pinned(monkeypatch):
+    work = dict.fromkeys(PINNED_ENGINE_WORK, 0)
+    last_read = []
+
+    class ReadLog(dict):
+        def get(self, key, default=None):
+            last_read[:] = [key]
+            return dict.get(self, key, default)
+
+    mul_mono, apply_mono, generator_value = (
+        rewriting._Engine.mul_mono, rewriting._Engine.apply_mono, rewriting._generator_value
+    )
+
+    def counted_mul_mono(m1, m2):
+        work["monomial products"] += 1
+        return mul_mono(m1, m2)
+
+    def counted_apply_mono(self, s, mono):
+        work["apply_mono entries"] += 1
+        # the caller read this key's memoized value and entered anyway
+        work["zero-memo re-entries"] += last_read == [(s, mono)] and (s, mono) in self._mono_cache
+        return apply_mono(self, s, mono)
+
+    def counted_generator_value(name):
+        work["generator values"] += 1
+        return generator_value(name)
+
+    monkeypatch.setattr(rewriting._Engine, "mul_mono", staticmethod(counted_mul_mono))
+    monkeypatch.setattr(rewriting._Engine, "apply_mono", counted_apply_mono)
+    monkeypatch.setattr(rewriting, "_generator_value", counted_generator_value)
+    ctx = parse_context("gen x deg 2\n")
+    ctx._mono_cache = ReadLog()
+    for item in ENGINE_ITEMS:
+        value = normalize(item, ctx)
+        if not value.is_zero():
+            assert normalize(str(value), ctx) == value
+    assert work == PINNED_ENGINE_WORK
+
+
 # -- printing ---------------------------------------------------------------
 
 
