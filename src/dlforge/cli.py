@@ -4,7 +4,7 @@
 ``dlforge normalize`` reduces an expression to the admissible basis, and
 ``dlforge en-level`` reports the minimal operadic level an expression
 needs.  Exit codes: 0 all checks pass, 1 some check fails, 2 usage or
-configuration error.
+configuration error, an exhausted rewrite budget included.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .expressions import (
     parse_expression,
     read_int,
 )
-from .rewriting import normalize
+from .rewriting import RewriteBudgetExceeded, normalize
 
 _CONFIG_KEYS = {"max_degree", "truncation", "inject_fault", "scrub_timing"}
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -180,7 +180,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RewriteBudgetExceeded) as exc:
         sys.stderr.write("error: %s\n" % _error_text(exc))
         return 2
 

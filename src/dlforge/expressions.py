@@ -119,6 +119,9 @@ class GeneratorContext:
         for b in self.base:
             if b not in self.degrees:
                 raise ValueError("base generator %r is not declared" % b)
+        # the engine memoizes Q^s of words and monomials alike in
+        # ``_mono_cache``; ``_word_cache`` stays, empty, because the
+        # benchmark's tracer reads both by name
         self._word_cache = {}
         self._mono_cache = {}
         self._generator_values = {}

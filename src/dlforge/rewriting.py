@@ -102,9 +102,11 @@ class CartanExtension:
     u = m^2 off its square-free part v, so each Q^i(m^2) takes the square
     rule, and the pairs Q^i x Q^j x + Q^j x Q^i x that cancel mod 2 are
     never built.  Values are memoized per (s, monomial) in ``_mono_cache``,
-    which is read before each recursion.  A memoized zero is a hit like any
-    other value: a miss is ``None``, never a false value, so each lookup
-    reads the memo once.
+    which is read before each recursion; it is the only memo of either
+    client, so a generator's action is memoized under its one-generator
+    monomial and ``generator_action`` itself memoizes nothing.  A memoized
+    zero is a hit like any other value: a miss is ``None``, never a false
+    value, so each lookup reads the memo once.
 
     Only the empty monomial is false; subclasses read the rest through four
     primitives: ``mono_degree``, ``lone_generator`` (the generator when the
@@ -205,7 +207,7 @@ class _Engine(CartanExtension):
     # -- polynomial helpers (frozensets of monomials) --------------------------
 
     def sum_products(self, pairs):
-        return reduce(operator.xor, (self.mul(p, q) for p, q in pairs), _ZERO)
+        return self.total(self.mul(p, q) for p, q in pairs)
 
     @staticmethod
     def mul_mono(m1, m2):
@@ -243,10 +245,7 @@ class _Engine(CartanExtension):
             (mono,) = p
             result = self._mono_cache.get((s, mono))
             return self.apply_mono(s, mono) if result is None else result
-        out = set()
-        for m in p:
-            out ^= self.apply_mono(s, m)
-        return frozenset(out)
+        return self.total(self.apply_mono(s, m) for m in p)
 
     def apply_word(self, superscripts, p):
         """Q^{s_1} .. Q^{s_k} p, the innermost operation first."""
@@ -255,31 +254,23 @@ class _Engine(CartanExtension):
         return p
 
     def generator_action(self, s, word):
-        cache = self.ctx._word_cache
-        key = (s, word)
-        result = cache.get(key)
-        if result is not None:
-            return result
+        # Q^i on the shorter word of an Adem term goes through the memo too
         d = self.generator_degree(word)
         if s < d:
-            result = _ZERO
-        elif s == d:
-            result = frozenset({((word, 2),)})
-        else:
-            ops, g = word
-            if not ops or s <= 2 * ops[0]:
-                result = frozenset({((((s,) + ops, g), 1),)})
-            else:
-                self.steps += 1
-                if self.steps > STEP_BUDGET:
-                    raise RewriteBudgetExceeded("rewrite budget exhausted")
-                rest = (ops[1:], g)
-                acc = set()
-                for top, inner in _adem_terms(s, ops[0], d - ops[0]):
-                    acc ^= self.apply_poly(top, self.generator_action(inner, rest))
-                result = frozenset(acc)
-        cache[key] = result
-        return result
+            return _ZERO
+        if s == d:
+            return frozenset({((word, 2),)})
+        ops, g = word
+        if not ops or s <= 2 * ops[0]:
+            return frozenset({((((s,) + ops, g), 1),)})
+        self.steps += 1
+        if self.steps > STEP_BUDGET:
+            raise RewriteBudgetExceeded("rewrite budget exhausted")
+        rest = (((ops[1:], g), 1),)
+        return self.total(
+            self.apply_poly(top, self.apply_mono(inner, rest))
+            for top, inner in _adem_terms(s, ops[0], d - ops[0])
+        )
 
     # -- expression evaluation ---------------------------------------------------
 

@@ -293,12 +293,10 @@ def _suite_priddy(facts):
 def _suite_steinberger(facts):
     def generating_function():
         A = facts.A
-        total = A.ring.one()
-        claimed = A.ring.one() + A.xi(1)
-        for i in range(1, A.top_index + 1):
-            total = total + A.xi(i)
-        for s in range(1, CONJUGATE_DEGREE):  # Q^s xi1 has degree s + 1
-            claimed = claimed + A.q_xi1(s)
+        total = A.ring.sum([A.xi(i) for i in range(A.top_index + 1)])  # xi0 = 1
+        claimed = A.ring.sum(  # Q^s xi1 has degree s + 1
+            [A.ring.one(), A.xi(1), *[A.q_xi1(s) for s in range(1, CONJUGATE_DEGREE)]]
+        )
         product = total * claimed
         residual = product + A.ring.one()
         bad = [d for d in residual.degrees_present() if d <= CONJUGATE_DEGREE]

@@ -172,6 +172,17 @@ def test_normalize_rejects_unknown_generator(tmp_path):
     assert proc.stderr == "error: unknown generator 'w'\n"
 
 
+def test_an_exhausted_rewrite_budget_is_one_error_line_and_exit_2(tmp_path, capsys, monkeypatch):
+    from dlforge import cli, rewriting
+
+    monkeypatch.setattr(rewriting, "STEP_BUDGET", 3)
+    context = tmp_path / "ctx.txt"
+    context.write_text("gen x deg 2\n")
+    command = ["normalize", "--context", str(context), "--expr", "Q116 Q54 Q22 Q6 x"]
+    assert cli.main(command) == 2
+    assert capsys.readouterr() == ("", "error: rewrite budget exhausted\n")
+
+
 # superscript two and Arabic-Indic three are Unicode digits, not ASCII ones
 @pytest.mark.parametrize("expr, position", [("x^\u00b2", 2), ("Q\u00b2 x", 1), ("Q\u0663 x", 1)])
 @pytest.mark.parametrize("command", ["normalize", "en-level"])

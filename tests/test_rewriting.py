@@ -2,6 +2,7 @@
 
 import gc
 import math
+import operator
 import random
 
 import pytest
@@ -465,12 +466,18 @@ def test_an_unknown_generator_raises_each_time_it_is_valued():
     assert "y" not in ctx._generator_values
 
 
-def test_the_word_memo_holds_only_operation_word_pairs():
+def test_the_monomial_memo_is_the_engines_only_memo():
+    # a word's action is memoized under its one-word monomial, Adem terms
+    # included, so the context's word memo stays empty
     ctx = x_context()
     normalize("Q40 Q16 Q6 x + Q9 (x Q5 x) + (Q3 x)^3", ctx)
-    assert ctx._word_cache
-    for s, (ops, g) in ctx._word_cache:
-        assert isinstance(s, int) and isinstance(ops, tuple) and g == "x"
+    assert ctx._word_cache == {}
+    assert ctx._mono_cache
+    for s, mono in ctx._mono_cache:
+        assert isinstance(s, int) and isinstance(mono, tuple) and mono
+        assert list(mono) == sorted(mono)
+        for (ops, g), e in mono:
+            assert isinstance(ops, tuple) and g == "x" and isinstance(e, int) and e > 0
 
 
 def engine_items(rng, count):
@@ -498,12 +505,14 @@ def engine_items(rng, count):
 # fresh context; the same under every hash seed.  A memo read that finds a
 # value, zero included, is the lookup's only read: no caller enters
 # apply_mono for a key it has just read.  The generator's value is built once.
+# The memo entries are those of both of the context's memos after the items.
 ENGINE_ITEMS = engine_items(random.Random(2903), 60)
 PINNED_ENGINE_WORK = {
     "monomial products": 138,
-    "apply_mono entries": 157,
+    "apply_mono entries": 193,
     "generator values": 1,
     "zero-memo re-entries": 0,
+    "memo entries": 151,
 }
 
 
@@ -543,10 +552,44 @@ def test_the_engine_work_on_a_seeded_corpus_is_pinned(monkeypatch):
         value = normalize(item, ctx)
         if not value.is_zero():
             assert normalize(str(value), ctx) == value
+    work["memo entries"] = len(ctx._word_cache) + len(ctx._mono_cache)
     assert work == PINNED_ENGINE_WORK
 
 
 # -- printing ---------------------------------------------------------------
+
+
+# Q^s of a square-free product loops over every split of s, so its monomial
+# products grow linearly in s; summing them must too.  "terms summed" counts
+# the terms each sum copies: both of a fresh xor, the added one of an in-place
+# ixor, the two set operations an accumulator can go through.
+PINNED_CARTAN_SUMS = {"monomial products": 4492, "terms summed": 8978}
+
+
+def test_summing_a_cartan_expansion_is_linear_in_its_products(monkeypatch):
+    work = dict.fromkeys(PINNED_CARTAN_SUMS, 0)
+    mul_mono, xor, ixor = rewriting._Engine.mul_mono, operator.xor, operator.ixor
+
+    def counted_mul_mono(m1, m2):
+        work["monomial products"] += 1
+        return mul_mono(m1, m2)
+
+    def counted_xor(a, b):
+        work["terms summed"] += len(a) + len(b)
+        return xor(a, b)
+
+    def counted_ixor(a, b):
+        work["terms summed"] += len(b)
+        return ixor(a, b)
+
+    monkeypatch.setattr(rewriting._Engine, "mul_mono", staticmethod(counted_mul_mono))
+    monkeypatch.setattr(operator, "xor", counted_xor)
+    monkeypatch.setattr(operator, "ixor", counted_ixor)
+    value = normalize("Q4001 (x Q5 x)", parse_context("gen x deg 2\n"))  # a fresh memo
+    monkeypatch.undo()
+    assert len(value.monomials) == 4491
+    assert work == PINNED_CARTAN_SUMS
+    assert work["terms summed"] <= 2 * work["monomial products"]
 
 
 @st.composite
